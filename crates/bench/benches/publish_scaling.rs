@@ -1,21 +1,15 @@
 //! Publisher-thread scaling of the broker publish path: the same W0
-//! subscription set published concurrently from 1, 2, 4 and 8 threads,
-//! once through the locked shard engines and once through the RCU
-//! (epoch-protected snapshot) path.
+//! subscription set published concurrently from 1, 2, 4 and 8 threads
+//! through `SharedBroker`'s epoch-protected snapshots.
 //!
-//! The interesting comparisons:
-//!   * `locked/1` vs `rcu/1` — the single-threaded cost of matching
-//!     through the immutable snapshot view (the acceptable regression is
-//!     < 5%);
-//!   * `locked/N` vs `rcu/N` — the contention story: locked publishers
-//!     serialize on every shard's mutex, RCU publishers share nothing but
-//!     a pointer load and a thread-local epoch slot. (On a single-core
-//!     host both plateau — the RCU win is the absence of lock hand-offs,
-//!     not parallel speedup.)
+//! Publishers share nothing but a pointer load and a thread-local epoch
+//! slot, so aggregate throughput should hold as threads are added. (On a
+//! single-core host it plateaus — the win is the absence of lock
+//! hand-offs, not parallel speedup.) The recorded comparison against the
+//! deleted lock-the-shards path is `results/BENCH_contention.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pubsub_bench::load_shared_broker;
-use pubsub_broker::PublishMode;
 use pubsub_core::EngineKind;
 use pubsub_types::SubscriptionId;
 use pubsub_workload::{presets, WorkloadGen};
@@ -29,34 +23,32 @@ fn bench_publish_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("publish_scaling_w0_20k");
     group.sample_size(10);
 
-    for (label, mode) in [("locked", PublishMode::Locked), ("rcu", PublishMode::Rcu)] {
-        let mut gen = WorkloadGen::new(presets::w0(N_SUBS));
-        let broker = load_shared_broker(EngineKind::Dynamic, SHARDS, mode, &mut gen, N_SUBS);
-        let events: Vec<_> = (0..N_EVENTS).map(|_| gen.event()).collect();
-        for publishers in PUBLISHERS {
-            group.throughput(Throughput::Elements((N_EVENTS * publishers) as u64));
-            group.bench_with_input(
-                BenchmarkId::new(label, publishers),
-                &publishers,
-                |b, &publishers| {
-                    b.iter(|| {
-                        std::thread::scope(|s| {
-                            for _ in 0..publishers {
-                                let broker = broker.clone();
-                                let events = &events;
-                                s.spawn(move || {
-                                    let mut out: Vec<SubscriptionId> = Vec::new();
-                                    for e in events {
-                                        out.clear();
-                                        broker.publish_into(e, &mut out);
-                                    }
-                                });
-                            }
-                        })
+    let mut gen = WorkloadGen::new(presets::w0(N_SUBS));
+    let broker = load_shared_broker(EngineKind::Dynamic, SHARDS, &mut gen, N_SUBS);
+    let events: Vec<_> = (0..N_EVENTS).map(|_| gen.event()).collect();
+    for publishers in PUBLISHERS {
+        group.throughput(Throughput::Elements((N_EVENTS * publishers) as u64));
+        group.bench_with_input(
+            BenchmarkId::new("rcu", publishers),
+            &publishers,
+            |b, &publishers| {
+                b.iter(|| {
+                    std::thread::scope(|s| {
+                        for _ in 0..publishers {
+                            let broker = broker.clone();
+                            let events = &events;
+                            s.spawn(move || {
+                                let mut out: Vec<SubscriptionId> = Vec::new();
+                                for e in events {
+                                    out.clear();
+                                    broker.publish_into(e, &mut out);
+                                }
+                            });
+                        }
                     })
-                },
-            );
-        }
+                })
+            },
+        );
     }
     group.finish();
 }

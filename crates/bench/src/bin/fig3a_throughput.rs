@@ -27,11 +27,10 @@
 //! `phase1_scalar_ns, phase1_batched_ns, phase1_batch,
 //! phase1_amortization`) — the batch-major amortization win in situ.
 //!
-//! With `--publishers 1,2,4,8` the harness instead runs the lock-contention
+//! With `--publishers 1,2,4,8` the harness instead runs the contention
 //! experiment: the same loaded subscription set published concurrently from
-//! N threads through a `SharedBroker`, once per publish mode (`locked` — the
-//! shard-lock path — vs `rcu` — the epoch-protected snapshot path). `--json`
-//! rows carry `figure: "contention", mode, publishers, events_per_sec`.
+//! N threads through a `SharedBroker`'s epoch-protected snapshots. `--json`
+//! rows carry `figure: "contention", publishers, events_per_sec`.
 //!
 //! Usage: `cargo run --release -p pubsub-bench --bin fig3a_throughput --
 //!         [--subs 100000,...] [--events N] [--engines a,b] [--phases]
@@ -41,12 +40,11 @@ use pubsub_bench::{
     load_engine_sharded, load_shared_broker, measure_batched_throughput, measure_publish_scaling,
     measure_throughput, parse_args, HarnessArgs, SeriesReport,
 };
-use pubsub_broker::PublishMode;
 use pubsub_types::metrics::{self, MetricsSnapshot};
 use pubsub_workload::{presets, WorkloadGen};
 
-/// The `--publishers` contention sweep: locked vs RCU aggregate publish
-/// throughput at each publisher-thread count.
+/// The `--publishers` contention sweep: aggregate publish throughput at
+/// each publisher-thread count.
 fn run_contention(args: &HarnessArgs) {
     let shards = args.shards.max(1);
     for &n in &args.subs {
@@ -63,46 +61,30 @@ fn run_contention(args: &HarnessArgs) {
                     kind.label()
                 ),
                 "publishers",
-                vec!["locked".into(), "rcu".into()],
+                vec!["events/s".into()],
             );
-            let mut columns: Vec<Vec<f64>> = Vec::new();
-            for mode in [PublishMode::Locked, PublishMode::Rcu] {
-                let mut gen = WorkloadGen::new(presets::w0(n));
-                let broker = load_shared_broker(kind, shards, mode, &mut gen, n);
-                let events: Vec<_> = (0..events_n).map(|_| gen.event()).collect();
-                // Warm-up primes the per-thread scratch and the page cache.
-                measure_publish_scaling(&broker, &events[..events.len().min(20)], 1);
-                let mut col = Vec::new();
-                for &p in &args.publishers {
-                    let eps = measure_publish_scaling(&broker, &events, p);
-                    col.push(eps);
-                    let mode_label = match mode {
-                        PublishMode::Locked => "locked",
-                        PublishMode::Rcu => "rcu",
-                    };
-                    if args.json {
-                        println!(
-                            "{{\"figure\": \"contention\", \"workload\": \"w0\", \
-                             \"engine\": \"{}\", \"subs\": {n}, \"shards\": {shards}, \
-                             \"mode\": \"{mode_label}\", \"publishers\": {p}, \
-                             \"events_per_sec\": {eps:.1}}}",
-                            kind.label(),
-                        );
-                    }
-                    eprintln!(
-                        "  [{} @ {n} subs, {mode_label}, {p} publishers] {eps:.1} events/s",
+            let mut gen = WorkloadGen::new(presets::w0(n));
+            let broker = load_shared_broker(kind, shards, &mut gen, n);
+            let events: Vec<_> = (0..events_n).map(|_| gen.event()).collect();
+            // Warm-up primes the per-thread scratch and the page cache.
+            measure_publish_scaling(&broker, &events[..events.len().min(20)], 1);
+            for &p in &args.publishers {
+                let eps = measure_publish_scaling(&broker, &events, p);
+                if args.json {
+                    println!(
+                        "{{\"figure\": \"contention\", \"workload\": \"w0\", \
+                         \"engine\": \"{}\", \"subs\": {n}, \"shards\": {shards}, \
+                         \"publishers\": {p}, \"events_per_sec\": {eps:.1}}}",
                         kind.label(),
                     );
                 }
-                columns.push(col);
+                eprintln!(
+                    "  [{} @ {n} subs, {p} publishers] {eps:.1} events/s",
+                    kind.label(),
+                );
+                report.push_row(p.to_string(), vec![format!("{eps:.1}")]);
             }
             if !args.json {
-                for (i, &p) in args.publishers.iter().enumerate() {
-                    report.push_row(
-                        p.to_string(),
-                        columns.iter().map(|c| format!("{:.1}", c[i])).collect(),
-                    );
-                }
                 println!("{}", report.render());
             }
         }

@@ -1,7 +1,7 @@
 //! Harness plumbing: argument parsing, engine loading, series reporting.
 
-use pubsub_broker::{PublishMode, SharedBroker, Validity};
-use pubsub_core::{Backpressure, EngineKind, MatchEngine, ShardedMatcher};
+use pubsub_broker::{SharedBroker, Validity};
+use pubsub_core::{EngineKind, MatchEngine, ShardedMatcher};
 use pubsub_types::{Event, SubscriptionId};
 use pubsub_workload::WorkloadGen;
 use std::time::{Duration, Instant};
@@ -188,17 +188,16 @@ pub fn measure_batched_throughput(
     (events as f64 / elapsed.as_secs_f64(), per_event)
 }
 
-/// Loads `n_subs` subscriptions from `gen` into a [`SharedBroker`] running
-/// in the given publish mode, then compacts, so RCU measurements start from
-/// a merged snapshot (no brute-forced delta).
+/// Loads `n_subs` subscriptions from `gen` into a [`SharedBroker`], then
+/// compacts, so measurements start from a merged snapshot (no brute-forced
+/// delta).
 pub fn load_shared_broker(
     kind: EngineKind,
     shards: usize,
-    mode: PublishMode,
     gen: &mut WorkloadGen,
     n_subs: usize,
 ) -> SharedBroker {
-    let broker = SharedBroker::with_publish_mode(kind, shards.max(1), Backpressure::Block, mode);
+    let broker = SharedBroker::new(kind, shards);
     for _ in 0..n_subs {
         broker.subscribe(gen.subscription(), Validity::forever());
     }
@@ -208,8 +207,8 @@ pub fn load_shared_broker(
 
 /// Aggregate publish throughput with `publishers` concurrent threads, each
 /// publishing every event in `events` once. Returns total events/second —
-/// the contention figure: under the locked mode threads serialize on the
-/// shard locks, under RCU they read independent snapshot pins.
+/// the contention figure: publishers read independent snapshot pins and
+/// share nothing but a pointer load.
 pub fn measure_publish_scaling(broker: &SharedBroker, events: &[Event], publishers: usize) -> f64 {
     let publishers = publishers.max(1);
     let total = (events.len() * publishers) as f64;

@@ -3,28 +3,19 @@
 //! paper §1 wrapped around a pluggable matching engine.
 
 use crate::store::{EventId, EventStore};
+use crate::table::SubTable;
 use crate::time::{LogicalTime, Validity};
 use pubsub_core::{EngineKind, EngineStats, MatchEngine};
 use pubsub_types::metrics::Counter;
 use pubsub_types::{AttrId, Event, Subscription, SubscriptionId, TypeError, Value, Vocabulary};
+use std::sync::Arc;
 
 /// Events published through a broker (single events; batched events count
-/// each event in the batch). `pub(crate)` so the RCU publish path of
-/// [`crate::shared::SharedBroker`], which bypasses the shard brokers, still
-/// counts its publishes here.
+/// each event in the batch). `pub(crate)` so
+/// [`crate::shared::SharedBroker`]'s publish path counts here too.
 pub(crate) static PUBLISHES: Counter = Counter::new("broker.publishes");
-/// Subscriptions registered.
-static SUBSCRIBES: Counter = Counter::new("broker.subscribes");
-/// Successful unsubscribes.
-static UNSUBSCRIBES: Counter = Counter::new("broker.unsubscribes");
-/// Unsubscribe calls for unknown/expired ids (rejected, not fatal).
-static UNSUBSCRIBE_MISSES: Counter = Counter::new("broker.unsubscribe_misses");
-/// Subscriptions dropped by validity expiry.
-static SUBS_EXPIRED: Counter = Counter::new("broker.subs_expired");
 /// Stored events evicted by validity expiry.
 static EVENTS_EVICTED: Counter = Counter::new("broker.events_evicted");
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A notification: one published event matched these subscriptions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,12 +27,6 @@ pub struct Notification {
     pub matched: Vec<SubscriptionId>,
 }
 
-#[derive(Debug)]
-struct SubRecord {
-    sub: Subscription,
-    validity: Validity,
-}
-
 /// The broker.
 ///
 /// Owns a [`Vocabulary`] (attribute/string interning), a matching engine,
@@ -51,18 +36,9 @@ struct SubRecord {
 pub struct Broker {
     vocab: Vocabulary,
     engine: Box<dyn MatchEngine + Send>,
-    subs: Vec<Option<SubRecord>>,
-    /// Count of ids assigned so far; the next id is
-    /// `id_base + next_id * id_step`.
-    next_id: u32,
-    /// First id of this broker's id lane (see [`Broker::with_id_lane`]).
-    id_base: u32,
-    /// Stride of this broker's id lane.
-    id_step: u32,
-    live: usize,
-    sub_expiry: BinaryHeap<Reverse<(LogicalTime, SubscriptionId)>>,
+    /// Ids, validities, expiry and the clock.
+    table: SubTable,
     events: EventStore,
-    now: LogicalTime,
     /// Store published events (enables subscription replay) — on by default;
     /// benchmarks turn it off to isolate matching.
     store_events: bool,
@@ -72,9 +48,9 @@ impl std::fmt::Debug for Broker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Broker")
             .field("engine", &self.engine.name())
-            .field("subscriptions", &self.live)
+            .field("subscriptions", &self.table.len())
             .field("stored_events", &self.events.len())
-            .field("now", &self.now)
+            .field("now", &self.table.now())
             .finish()
     }
 }
@@ -110,14 +86,8 @@ impl Broker {
         Self {
             vocab: Vocabulary::new(),
             engine,
-            subs: Vec::new(),
-            next_id: 0,
-            id_base: 0,
-            id_step: 1,
-            live: 0,
-            sub_expiry: BinaryHeap::new(),
+            table: SubTable::new(),
             events: EventStore::new(),
-            now: LogicalTime::ZERO,
             store_events: true,
         }
     }
@@ -126,34 +96,6 @@ impl Broker {
     pub fn without_event_store(mut self) -> Self {
         self.store_events = false;
         self
-    }
-
-    /// Restricts id assignment to the lane `base, base + step, base + 2·step,
-    /// …`. Brokers on disjoint lanes assign globally unique ids with no
-    /// coordination — this is how [`crate::shared::SharedBroker`] gives each
-    /// shard its own id space (`shard = id mod shards`) while keeping each
-    /// shard's subscription table dense.
-    ///
-    /// # Panics
-    /// Panics if `step == 0`, `base >= step`, or a subscription was already
-    /// registered.
-    pub fn with_id_lane(mut self, base: u32, step: u32) -> Self {
-        assert!(step >= 1, "id lane stride must be at least 1");
-        assert!(base < step, "id lane base must be below the stride");
-        assert_eq!(self.next_id, 0, "id lane must be set before subscribing");
-        self.id_base = base;
-        self.id_step = step;
-        self
-    }
-
-    /// The dense storage slot of `id`, or `None` if `id` lies outside this
-    /// broker's id lane.
-    fn slot_of(&self, id: SubscriptionId) -> Option<usize> {
-        let raw = id.0.checked_sub(self.id_base)?;
-        if raw % self.id_step != 0 {
-            return None;
-        }
-        Some((raw / self.id_step) as usize)
     }
 
     // ---- vocabulary ------------------------------------------------------
@@ -183,212 +125,43 @@ impl Broker {
 
     /// Current logical time.
     pub fn now(&self) -> LogicalTime {
-        self.now
+        self.table.now()
     }
 
     /// Advances the clock, expiring subscriptions and events whose validity
     /// ended. Returns `(subscriptions expired, events evicted)`.
     pub fn advance_to(&mut self, t: LogicalTime) -> (usize, usize) {
-        self.advance_to_collect(t, None)
-    }
-
-    /// [`Broker::advance_to`] that additionally appends the ids of expired
-    /// subscriptions to `expired` — the RCU snapshot writer needs them to
-    /// tombstone the published shard snapshots.
-    pub fn advance_to_collect(
-        &mut self,
-        t: LogicalTime,
-        mut expired: Option<&mut Vec<SubscriptionId>>,
-    ) -> (usize, usize) {
-        assert!(t >= self.now, "clock cannot go backwards");
-        self.now = t;
-        let mut subs_expired = 0;
-        while let Some(&Reverse((until, id))) = self.sub_expiry.peek() {
-            if until > t {
-                break;
-            }
-            self.sub_expiry.pop();
-            let slot = self.slot_of(id).expect("expiry heap only holds own ids");
-            // The record may already be gone (explicit unsubscribe).
-            if let Some(rec) = &self.subs[slot] {
-                if rec.validity.until == Some(until) {
-                    self.engine.remove(id);
-                    self.subs[slot] = None;
-                    self.live -= 1;
-                    subs_expired += 1;
-                    if let Some(ids) = expired.as_deref_mut() {
-                        ids.push(id);
-                    }
-                }
-            }
-        }
+        let engine = &mut self.engine;
+        let subs_expired = self.table.advance_to(t, |id| engine.remove(id));
         let events_evicted = self.events.evict_expired(t);
-        SUBS_EXPIRED.add(subs_expired as u64);
         EVENTS_EVICTED.add(events_evicted as u64);
         (subs_expired, events_evicted)
     }
 
     /// Advances the clock by one tick.
     pub fn tick(&mut self) -> (usize, usize) {
-        self.advance_to(self.now.plus(1))
+        self.advance_to(self.now().plus(1))
     }
 
     // ---- subscriptions -----------------------------------------------------
 
-    /// Registers a subscription; returns its id (drawn from this broker's id
-    /// lane, see [`Broker::with_id_lane`]).
+    /// Registers a subscription; returns its id.
     pub fn subscribe(&mut self, sub: Subscription, validity: Validity) -> SubscriptionId {
-        SUBSCRIBES.inc();
-        let slot = self.next_id as usize;
-        let id = SubscriptionId(self.id_base + self.next_id * self.id_step);
-        self.next_id += 1;
-        if self.subs.len() <= slot {
-            self.subs.resize_with(slot + 1, || None);
-        }
-        self.engine.insert(id, &sub);
-        if let Some(until) = validity.until {
-            self.sub_expiry.push(Reverse((until, id)));
-        }
-        self.subs[slot] = Some(SubRecord { sub, validity });
-        self.live += 1;
-        id
+        self.engine.insert(self.table.peek_next_id(), &sub);
+        self.table.insert(Arc::new(sub), validity)
     }
 
     /// Whether `id` refers to a live subscription of this broker.
     pub fn contains(&self, id: SubscriptionId) -> bool {
-        self.slot_of(id)
-            .is_some_and(|slot| self.subs.get(slot).is_some_and(Option::is_some))
-    }
-
-    /// The id the next [`Broker::subscribe`] call will assign. The durable
-    /// broker logs the subscribe record (under this broker's lock) *before*
-    /// applying it, so the id must be observable without consuming it.
-    pub fn peek_next_id(&self) -> SubscriptionId {
-        SubscriptionId(self.id_base + self.next_id * self.id_step)
-    }
-
-    /// One past the largest raw id this broker has assigned (0 when none) —
-    /// the per-shard contribution to a durability snapshot's id high-water
-    /// mark.
-    pub fn assigned_id_high_water(&self) -> u32 {
-        if self.next_id == 0 {
-            0
-        } else {
-            self.id_base + (self.next_id - 1) * self.id_step + 1
-        }
-    }
-
-    /// Forbids assigning any id whose raw value is below `high_water` —
-    /// applied when restoring from a durability snapshot, so ids retired
-    /// before the snapshot (and therefore absent from it) are never reissued
-    /// to new subscribers after recovery.
-    pub fn reserve_ids_below(&mut self, high_water: u32) {
-        if high_water > self.id_base {
-            // Lane ids strictly below `high_water`: ceil((hw - base) / step).
-            let reserved = (high_water - self.id_base).div_ceil(self.id_step);
-            self.next_id = self.next_id.max(reserved);
-        }
-    }
-
-    /// Re-registers a subscription under the id it held before a crash
-    /// (replay of a WAL `Subscribe` record). The id must belong to this
-    /// broker's lane. Replayed ids need not arrive in order — concurrent
-    /// subscribers could have reached the log out of id order — so the
-    /// assignment cursor only ever moves forward.
-    ///
-    /// # Panics
-    /// Panics if `id` is outside this broker's id lane.
-    pub fn restore_subscription(
-        &mut self,
-        id: SubscriptionId,
-        sub: Subscription,
-        validity: Validity,
-    ) {
-        let slot = self
-            .slot_of(id)
-            .expect("restored id must belong to this broker's lane");
-        if self.subs.len() <= slot {
-            self.subs.resize_with(slot + 1, || None);
-        }
-        if self.subs[slot].take().is_some() {
-            // A duplicate id can only come out of a damaged log recovered
-            // under the skip policy; last write wins, like a re-subscribe.
-            self.engine.remove(id);
-            self.live -= 1;
-        }
-        self.next_id = self.next_id.max(slot as u32 + 1);
-        self.engine.insert(id, &sub);
-        if let Some(until) = validity.until {
-            self.sub_expiry.push(Reverse((until, id)));
-        }
-        self.subs[slot] = Some(SubRecord { sub, validity });
-        self.live += 1;
-    }
-
-    /// Bulk-restores a snapshot's subscription set into this (empty) broker
-    /// and sets its clock, feeding the engine through
-    /// [`MatchEngine::rebuild`] so engines with bulk-load optimisations
-    /// (e.g. the static engine's one-shot clustering) use them.
-    ///
-    /// # Panics
-    /// Panics if the broker already holds subscriptions, if the clock has
-    /// already advanced, or if an id is outside this broker's lane.
-    pub fn restore(
-        &mut self,
-        entries: Vec<(SubscriptionId, Subscription, Validity)>,
-        now: LogicalTime,
-    ) {
-        assert_eq!(self.live, 0, "restore requires an empty broker");
-        assert_eq!(
-            self.now,
-            LogicalTime::ZERO,
-            "restore requires a fresh clock"
-        );
-        self.now = now;
-        let mut max_slot = None;
-        for (id, sub, validity) in entries {
-            let slot = self
-                .slot_of(id)
-                .expect("restored id must belong to this broker's lane");
-            if self.subs.len() <= slot {
-                self.subs.resize_with(slot + 1, || None);
-            }
-            assert!(self.subs[slot].is_none(), "snapshot ids are unique");
-            if let Some(until) = validity.until {
-                self.sub_expiry.push(Reverse((until, id)));
-            }
-            self.subs[slot] = Some(SubRecord { sub, validity });
-            self.live += 1;
-            max_slot = max_slot.max(Some(slot));
-        }
-        if let Some(max_slot) = max_slot {
-            self.next_id = self.next_id.max(max_slot as u32 + 1);
-        }
-        let base = self.id_base;
-        let step = self.id_step;
-        let mut iter = self.subs.iter().enumerate().filter_map(|(slot, rec)| {
-            rec.as_ref()
-                .map(|r| (SubscriptionId(base + slot as u32 * step), &r.sub))
-        });
-        self.engine.rebuild(&mut iter);
+        self.table.contains(id)
     }
 
     /// Iterates over the live subscriptions with their ids and validities,
-    /// in id order — the payload of a durability snapshot.
+    /// in id order.
     pub fn live_subscriptions(
         &self,
     ) -> impl Iterator<Item = (SubscriptionId, &Subscription, Validity)> {
-        let base = self.id_base;
-        let step = self.id_step;
-        self.subs.iter().enumerate().filter_map(move |(slot, rec)| {
-            rec.as_ref().map(|r| {
-                (
-                    SubscriptionId(base + slot as u32 * step),
-                    &r.sub,
-                    r.validity,
-                )
-            })
-        })
+        self.table.iter()
     }
 
     /// Registers a subscription and immediately evaluates it against the
@@ -399,7 +172,7 @@ impl Broker {
         sub: Subscription,
         validity: Validity,
     ) -> (SubscriptionId, Vec<EventId>) {
-        let replay = self.events.matches_for(&sub, self.now);
+        let replay = self.events.matches_for(&sub, self.now());
         let id = self.subscribe(sub, validity);
         (id, replay)
     }
@@ -418,32 +191,21 @@ impl Broker {
     /// Removes a subscription. Returns `false` if the id was unknown or
     /// already expired.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        let Some(slot) = self.slot_of(id) else {
-            UNSUBSCRIBE_MISSES.inc();
-            return false;
-        };
-        match self.subs.get_mut(slot).and_then(Option::take) {
-            Some(_) => {
-                self.engine.remove(id);
-                self.live -= 1;
-                UNSUBSCRIBES.inc();
-                true
-            }
-            None => {
-                UNSUBSCRIBE_MISSES.inc();
-                false
-            }
+        let removed = self.table.remove(id);
+        if removed {
+            self.engine.remove(id);
         }
+        removed
     }
 
     /// The subscription behind an id, if still registered.
     pub fn subscription(&self, id: SubscriptionId) -> Option<&Subscription> {
-        self.subs.get(self.slot_of(id)?)?.as_ref().map(|r| &r.sub)
+        self.table.get(id)
     }
 
     /// Number of live subscriptions.
     pub fn subscription_count(&self) -> usize {
-        self.live
+        self.table.len()
     }
 
     // ---- events -------------------------------------------------------------
@@ -471,7 +233,7 @@ impl Broker {
         PUBLISHES.inc();
         let mut matched = Vec::new();
         self.engine.match_event(&event, &mut matched);
-        let event_id = if self.store_events && !validity.expired_at(self.now) {
+        let event_id = if self.store_events && !validity.expired_at(self.now()) {
             Some(self.events.insert(event, validity))
         } else {
             None

@@ -17,13 +17,14 @@ pub mod equilibrium;
 pub mod rcu;
 pub mod shared;
 pub mod store;
+mod table;
 pub mod time;
 
 pub use broker::{Broker, Notification};
 pub use dnf::{DnfId, DnfRegistry, DnfSubscription};
 pub use durable::{BrokerError, DurabilityStatus};
 pub use equilibrium::{EquilibriumConfig, EquilibriumSim, TickReport};
-pub use rcu::{publish_config_warning, PublishMode, RcuStatus};
+pub use rcu::RcuStatus;
 pub use shared::SharedBroker;
 pub use store::{EventId, EventStore};
 pub use time::{LogicalTime, Validity};

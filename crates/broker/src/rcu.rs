@@ -13,25 +13,10 @@
 //! A [`BrokerSnapshot`] is one consistent cut across all shards; the writer
 //! publishes it through a [`pubsub_core::RcuCell`] after every mutation.
 
-use crate::broker::Broker;
+use crate::table::SubTable;
 use pubsub_core::{build_frozen, EngineKind, MatchView, SnapshotEngine, ViewScratch};
 use pubsub_types::{Event, Subscription, SubscriptionId};
 use std::sync::Arc;
-
-/// How [`crate::shared::SharedBroker`] executes publishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PublishMode {
-    /// Lock-free reads against an epoch-protected engine snapshot (the
-    /// default): publishes never block and never contend, mutators serialize
-    /// on a writer mutex and flip the snapshot pointer.
-    #[default]
-    Rcu,
-    /// The pre-RCU behaviour: every publish locks each shard's engine in
-    /// turn. Kept for comparison benchmarks and for the lock-contention
-    /// backpressure policies (`Shed`/`ErrorFast`), which are meaningless
-    /// when reads never take locks.
-    Locked,
-}
 
 /// Delta size at which the writer merges a shard's delta and tombstones
 /// back into a freshly built base engine. Small enough that the
@@ -49,6 +34,8 @@ struct FrozenShard {
 /// One shard's published state: frozen base + delta + tombstones.
 #[derive(Clone)]
 pub(crate) struct ShardSnap {
+    /// Engine kind of the base (and of every rebuild).
+    kind: EngineKind,
     base: Arc<FrozenShard>,
     /// Subscriptions added since the base was frozen. `Arc` per entry so a
     /// clone of the snapshot (one per flip) copies 16-byte handles, not
@@ -63,6 +50,7 @@ impl ShardSnap {
     /// An empty shard snapshot for a fresh broker.
     pub(crate) fn empty(kind: EngineKind) -> Self {
         Self {
+            kind,
             base: Arc::new(FrozenShard {
                 engine: build_frozen(kind),
             }),
@@ -71,12 +59,12 @@ impl ShardSnap {
         }
     }
 
-    /// Rebuilds the base engine from the shard broker's live subscription
-    /// set, clearing the delta and tombstones. Called with the shard lock
-    /// held (the iterator borrows the broker), off the read path.
-    pub(crate) fn rebuild_from(&mut self, broker: &Broker, kind: EngineKind) {
-        let mut engine = build_frozen(kind);
-        let mut iter = broker.live_subscriptions().map(|(id, sub, _)| (id, sub));
+    /// Rebuilds the base engine from the stripe table's live subscription
+    /// set, clearing the delta and tombstones. Called under the writer
+    /// lock, off the read path.
+    pub(crate) fn rebuild_from(&mut self, table: &SubTable) {
+        let mut engine = build_frozen(self.kind);
+        let mut iter = table.iter().map(|(id, sub, _)| (id, sub));
         engine.rebuild(&mut iter);
         self.base = Arc::new(FrozenShard { engine });
         self.delta.clear();
@@ -89,16 +77,15 @@ impl ShardSnap {
         &mut self,
         id: SubscriptionId,
         sub: Arc<Subscription>,
-        broker: &Broker,
-        kind: EngineKind,
+        table: &SubTable,
     ) {
         self.delta.push((id, sub));
-        self.merge_if_due(broker, kind);
+        self.merge_if_due(table);
     }
 
     /// Records a removal (explicit unsubscribe or validity expiry),
     /// rebuilding the base if the tombstone set outgrew its threshold.
-    pub(crate) fn note_remove(&mut self, id: SubscriptionId, broker: &Broker, kind: EngineKind) {
+    pub(crate) fn note_remove(&mut self, id: SubscriptionId, table: &SubTable) {
         if let Some(pos) = self.delta.iter().position(|&(d, _)| d == id) {
             self.delta.swap_remove(pos);
             return;
@@ -106,12 +93,12 @@ impl ShardSnap {
         if let Err(pos) = self.dead.binary_search(&id) {
             self.dead.insert(pos, id);
         }
-        self.merge_if_due(broker, kind);
+        self.merge_if_due(table);
     }
 
-    fn merge_if_due(&mut self, broker: &Broker, kind: EngineKind) {
+    fn merge_if_due(&mut self, table: &SubTable) {
         if self.delta.len() + self.dead.len() > merge_threshold(self.base.engine.len()) {
-            self.rebuild_from(broker, kind);
+            self.rebuild_from(table);
         }
     }
 
@@ -194,47 +181,11 @@ pub(crate) struct BrokerSnapshot {
     pub(crate) shards: Vec<ShardSnap>,
 }
 
-/// Explains when a `(publish mode, backpressure)` pairing is inert.
-///
-/// The `Shed`/`ErrorFast` policies police *lock contention* on the publish
-/// path — they only mean something in [`PublishMode::Locked`], where a
-/// publish competes for per-shard mutexes. Under the default
-/// [`PublishMode::Rcu`] a publish takes no locks, so there is nothing to
-/// shed or fail fast on: the policy silently never fires. Returns a
-/// warning describing that no-op (for construction-time surfacing by the
-/// CLI and [`crate::shared::SharedBroker::config_warning`]), or `None`
-/// when the pairing is meaningful.
-///
-/// Note this concerns the *broker publish* path only. The network server
-/// (`pubsub-net`) reuses the same policy enum for its per-connection
-/// delivery queues, where all three policies are meaningful regardless of
-/// publish mode.
-pub fn publish_config_warning(
-    mode: PublishMode,
-    backpressure: pubsub_core::Backpressure,
-) -> Option<&'static str> {
-    match (mode, backpressure) {
-        (PublishMode::Rcu, pubsub_core::Backpressure::Shed) => Some(
-            "backpressure policy `shed` has no effect under the default RCU publish mode: \
-             publishes are lock-free and never contend, so no shard is ever shed; \
-             construct the broker with PublishMode::Locked for contention policing",
-        ),
-        (PublishMode::Rcu, pubsub_core::Backpressure::ErrorFast) => Some(
-            "backpressure policy `error-fast` has no effect under the default RCU publish mode: \
-             publishes are lock-free and never contend, so try_publish never fails with \
-             Overloaded; construct the broker with PublishMode::Locked for contention policing",
-        ),
-        _ => None,
-    }
-}
-
 /// Point-in-time view of the RCU publish machinery, surfaced by
 /// [`crate::shared::SharedBroker::rcu_status`] (and the CLI `stats`
 /// command).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RcuStatus {
-    /// The configured publish mode.
-    pub mode: PublishMode,
     /// Snapshot pointer flips since the broker was created.
     pub flips: u64,
     /// Current RCU epoch (1 + flips; grows with every publish of a new

@@ -1,72 +1,65 @@
-//! A thread-safe broker handle with a lock-free read-mostly publish path.
+//! A thread-safe broker handle with a lock-free publish path.
 //!
 //! The matching engines are single-writer structures. `SharedBroker` splits
-//! the subscription set across `N` shards, each a complete [`Broker`]
-//! behind its own `parking_lot::Mutex`. Ids are striped (`shard = id mod N`
-//! via [`Broker::with_id_lane`]), so `subscribe`/`unsubscribe` lock only the
-//! owning shard and run fully in parallel across shards.
+//! the subscription set across `N` stripes (`stripe = id mod N`), each a
+//! plain subscription table ([`crate::table::SubTable`]: ids, validities,
+//! expiry, clock) next to the [`ShardSnap`] published from it. All stripes
+//! live inside one writer mutex.
 //!
-//! **Publishes take no locks at all** in the default
-//! [`PublishMode::Rcu`]: every mutation publishes an immutable
+//! **Publishes take no locks at all**: every mutation publishes an immutable
 //! [`crate::rcu::BrokerSnapshot`] through an epoch-protected
 //! [`pubsub_core::RcuCell`], and publishers pin the current snapshot, match
 //! it with per-thread scratch ([`pubsub_core::MatchView`]) and unpin — zero
 //! contention between concurrent publishers, and between publishers and
-//! mutators. Mutators serialize on a small writer mutex, layer the change
-//! as a delta/tombstone on the frozen per-shard base engines (merging the
-//! delta back once it outgrows a threshold), and flip the snapshot pointer;
-//! old snapshots are reclaimed once every reader epoch has passed. See
-//! DESIGN.md §12 for the full protocol. [`PublishMode::Locked`] keeps the
-//! historical lock-the-shards publish path for comparison benchmarks and
-//! for the lock-contention backpressure policies.
+//! mutators. Mutators serialize on the writer mutex, apply the change to
+//! the owning stripe's table, layer it as a delta/tombstone on that
+//! stripe's frozen base engine (merging the delta back once it outgrows a
+//! threshold), and flip the snapshot pointer; old snapshots are reclaimed
+//! once every reader epoch has passed. The frozen bases are the only
+//! engines this handle owns — a subscription is indexed once. See
+//! DESIGN.md §12 for the full protocol.
 //!
-//! Clock advancement is the one whole-broker operation: it acquires every
-//! shard lock in ascending index order and advances all shards atomically
-//! with respect to subscribes; the resulting expiries land in the same
-//! single snapshot flip, so publishers see them atomically too.
+//! Lock order, stated once: `writer < vocab < sessions < wal`. Every
+//! multi-lock path acquires in that order.
 //!
-//! Consequences of shard-local state, documented rather than hidden:
+//! Consequences, documented rather than hidden:
 //!
-//! * Under RCU, a publish observes one immutable snapshot — it never sees a
-//!   torn cut of a concurrent mutation. Mutations become visible in their
-//!   serialization order, one flip each.
-//! * Each shard's engine keeps shard-local optimizer statistics (the
+//! * A publish observes one immutable snapshot — it never sees a torn cut
+//!   of a concurrent mutation. Mutations become visible in their
+//!   serialization order, one flip each; a clock advance expires every
+//!   stripe in a single flip.
+//! * Each stripe's engine keeps stripe-local optimizer statistics (the
 //!   dynamic algorithm clusters each partition independently).
 //! * Attribute/string interning lives in one shared [`Vocabulary`] so ids
-//!   mean the same thing on every shard.
+//!   mean the same thing on every stripe.
 //!
 //! This handle is the broker-level twin of the engine-level
 //! [`pubsub_core::ShardedMatcher`]: use `ShardedMatcher` to parallelise one
 //! broker's matching; use `SharedBroker` when many threads drive the broker.
 
-use crate::broker::Broker;
 use crate::durable::{BrokerError, DurabilityStatus};
-use crate::rcu::{BrokerSnapshot, PublishMode, RcuStatus, ShardSnap};
+use crate::rcu::{BrokerSnapshot, RcuStatus, ShardSnap};
+use crate::table::SubTable;
 use crate::time::{LogicalTime, Validity};
-use parking_lot::{Mutex, MutexGuard};
-use pubsub_core::{Backpressure, EngineKind, EngineStats, RcuCell, ViewScratch};
+use parking_lot::Mutex;
+use pubsub_core::{EngineKind, EngineStats, RcuCell, ViewScratch};
 use pubsub_durability::{
     replication, DurabilityConfig, Lsn, Recovered, RecoveryReport, SnapshotState, Wal, WalError,
     WalOp,
 };
 use pubsub_types::metrics::Counter;
-use pubsub_types::{
-    AttrId, Event, ShardError, Subscription, SubscriptionId, Symbol, Value, Vocabulary,
-};
+use pubsub_types::{AttrId, Event, Subscription, SubscriptionId, Symbol, Value, Vocabulary};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Shards skipped by a publish because their lock was contended
-/// ([`PublishMode::Locked`] with `Shed`/downgraded-`ErrorFast` only).
-static SHED_SHARDS: Counter = Counter::new("broker.shared.shed_shards");
-/// Snapshot pointer flips performed by the RCU writer path.
+/// Snapshot pointer flips performed by the writer path.
 static SNAPSHOT_FLIPS: Counter = Counter::new("broker.shared.snapshot_flips");
 
-/// Per-thread scratch for the publish paths: the [`ViewScratch`] the RCU
-/// read path matches with, plus recycled per-shard result buffers for the
+/// Per-thread scratch for the publish paths: the [`ViewScratch`] the read
+/// path matches with, plus recycled per-shard result buffers for the
 /// batch paths. Thread-local (not a shared pool), so concurrent publishers
 /// never serialize on scratch acquisition.
 #[derive(Default)]
@@ -80,8 +73,8 @@ thread_local! {
 }
 
 /// Relaxed aggregate of the per-thread [`ViewScratch`] engine stats folded
-/// in after each RCU publish — the broker-level replacement for the
-/// per-shard engine counters the locked path accumulates.
+/// in after each publish: the frozen bases are matched through shared
+/// references, so per-event counts and phase timings live here.
 #[derive(Default)]
 struct RcuStatsAgg {
     events: AtomicU64,
@@ -120,15 +113,12 @@ impl RcuStatsAgg {
 
 /// The durability attachment of a [`SharedBroker`].
 ///
-/// Lock ordering across the whole handle is `writer < vocab < sessions <
-/// shards (ascending) < wal`; every multi-lock path acquires in that order, so
-/// adding the WAL mutex keeps the broker deadlock-free. Mutations append to
-/// the WAL *before* applying in memory (write-ahead discipline): an op that
-/// fails to log is never applied, so recovery can only ever observe a
-/// prefix of the acknowledged history. The RCU snapshot flip happens *after*
-/// the in-memory apply, still under the writer lock — so a publish can
-/// trail the WAL (a logged subscription not yet visible to matching) but
-/// never lead it.
+/// Mutations append to the WAL *before* applying in memory (write-ahead
+/// discipline): an op that fails to log is never applied, so recovery can
+/// only ever observe a prefix of the acknowledged history. The RCU snapshot
+/// flip happens *after* the in-memory apply, still under the writer lock —
+/// so a publish can trail the WAL (a logged subscription not yet visible to
+/// matching) but never lead it.
 struct DurableState {
     wal: Mutex<Wal>,
     /// Sticky read-only flag, set by the first failed durability write.
@@ -303,15 +293,73 @@ impl SessionTable {
     }
 }
 
+/// One stripe of the subscription set: the authoritative table and the
+/// snapshot state published from it. Lives inside the writer mutex.
+struct Stripe {
+    table: SubTable,
+    snap: ShardSnap,
+}
+
+impl Stripe {
+    /// Wraps `table`, freezing its live set as the stripe's first base.
+    fn freeze(table: SubTable, kind: EngineKind) -> Self {
+        let mut snap = ShardSnap::empty(kind);
+        snap.rebuild_from(&table);
+        Stripe { table, snap }
+    }
+
+    fn insert(&mut self, sub: Subscription, validity: Validity) -> SubscriptionId {
+        let sub = Arc::new(sub);
+        let id = self.table.insert(Arc::clone(&sub), validity);
+        self.snap.note_insert(id, sub, &self.table);
+        id
+    }
+
+    /// Applies a replicated `Subscribe` record under the id the leader
+    /// assigned.
+    fn restore_one(&mut self, id: SubscriptionId, sub: Subscription, validity: Validity) {
+        let sub = Arc::new(sub);
+        if self.table.restore_one(id, Arc::clone(&sub), validity) {
+            // A duplicate id (damaged log, skip policy) replaced a record
+            // the snapshot may hold in its base or its delta: re-freeze.
+            self.snap.rebuild_from(&self.table);
+        } else {
+            self.snap.note_insert(id, sub, &self.table);
+        }
+    }
+
+    fn remove(&mut self, id: SubscriptionId) -> bool {
+        let removed = self.table.remove(id);
+        if removed {
+            self.snap.note_remove(id, &self.table);
+        }
+        removed
+    }
+
+    /// Advances the stripe's clock, tombstoning every expiry. Returns the
+    /// number of expired subscriptions.
+    fn advance_to(&mut self, t: LogicalTime) -> usize {
+        let mut expired = Vec::new();
+        self.table.advance_to(t, |id| expired.push(id));
+        for &id in &expired {
+            self.snap.note_remove(id, &self.table);
+        }
+        expired.len()
+    }
+}
+
+/// Live `(id, subscription, validity)` rows across all stripes, stripe by
+/// stripe and in id order within each.
+fn live_rows(
+    stripes: &[Stripe],
+) -> impl Iterator<Item = (SubscriptionId, &Subscription, Validity)> {
+    stripes.iter().flat_map(|stripe| stripe.table.iter())
+}
+
 struct Inner {
-    shards: Vec<Mutex<Broker>>,
     vocab: Mutex<Vocabulary>,
-    /// Round-robin cursor distributing new subscriptions over shards.
-    next_shard: AtomicUsize,
-    /// Overload policy of the publish paths (subscribe/unsubscribe/clock
-    /// operations always block: they must not lose data). Only meaningful
-    /// in [`PublishMode::Locked`]; RCU publishes never contend.
-    backpressure: Backpressure,
+    /// Round-robin cursor distributing new subscriptions over stripes.
+    next_stripe: AtomicUsize,
     /// Write-ahead log plus degraded-mode state; `None` for the in-memory
     /// broker of [`SharedBroker::new`].
     durable: Option<DurableState>,
@@ -321,37 +369,41 @@ struct Inner {
     /// [`SharedBroker::apply_replicated`]. Cleared by
     /// [`SharedBroker::promote`].
     follower: AtomicBool,
-    /// Engine kind, needed to build fresh frozen bases at merge time.
+    /// Engine kind of the frozen bases.
     kind: EngineKind,
-    /// How publishes execute (RCU snapshots vs. per-shard locks).
-    mode: PublishMode,
+    /// Stripe count (fixed at construction; readable without the lock).
+    stripes: usize,
     /// The durable session table (token → owned subscription ids). Kept on
     /// every broker — in-memory brokers just skip the logging — so the net
-    /// server's registry has one source of truth in all modes. Sits between
-    /// `vocab` and the shard locks in the global lock order:
-    /// `writer < vocab < sessions < shards < wal`.
+    /// server's registry has one source of truth in all modes.
     sessions: Mutex<SessionTable>,
-    /// The writer-side authoritative next snapshot (first in the lock
-    /// order: `writer < vocab < sessions < shards < wal`). Mutators update
-    /// it in place and publish a clone through `published`.
-    writer: Mutex<Vec<ShardSnap>>,
-    /// The epoch-protected snapshot the RCU publish path reads.
+    /// The authoritative subscription state, first in the lock order.
+    /// Mutators update it in place and publish a clone of the stripes'
+    /// snapshots through `published`.
+    writer: Mutex<Vec<Stripe>>,
+    /// The epoch-protected snapshot the publish path reads.
     published: RcuCell<BrokerSnapshot>,
     /// Snapshot flips, mirrored outside the metrics feature so `stats` can
     /// always report it.
     flips: AtomicU64,
-    /// Aggregated read-path engine stats (RCU publishes bypass the shard
-    /// engines, so their counters live here instead).
+    /// Aggregated read-path engine stats.
     rcu_stats: RcuStatsAgg,
 }
 
+/// One consistent cut of the stripes' snapshot states.
+fn snapshot_of(stripes: &[Stripe]) -> Arc<BrokerSnapshot> {
+    Arc::new(BrokerSnapshot {
+        shards: stripes.iter().map(|stripe| stripe.snap.clone()).collect(),
+    })
+}
+
 /// Captures the full broker state for a point-in-time snapshot. Caller
-/// holds the vocabulary lock, the session lock and every shard lock, so the
-/// state is a consistent cut.
+/// holds the writer, vocabulary and session locks, so the state is a
+/// consistent cut.
 fn build_snapshot_state(
     vocab: &Vocabulary,
     sessions: &SessionTable,
-    shards: &[MutexGuard<'_, Broker>],
+    stripes: &[Stripe],
 ) -> SnapshotState {
     // Interners assign dense sequential ids; storing names in id order makes
     // re-interning them in order reproduce identical ids at recovery.
@@ -359,20 +411,15 @@ fn build_snapshot_state(
     attrs.sort_by_key(|(id, _)| id.0);
     let mut strings: Vec<(Symbol, &str)> = vocab.strings.iter().collect();
     strings.sort_by_key(|(sym, _)| sym.0);
-    let mut subs: Vec<(SubscriptionId, Subscription, Validity)> = Vec::new();
-    for shard in shards {
-        subs.extend(
-            shard
-                .live_subscriptions()
-                .map(|(id, sub, validity)| (id, sub.clone(), validity)),
-        );
-    }
+    let mut subs: Vec<(SubscriptionId, Subscription, Validity)> = live_rows(stripes)
+        .map(|(id, sub, validity)| (id, sub.clone(), validity))
+        .collect();
     subs.sort_by_key(|(id, _, _)| id.0);
     SnapshotState {
-        now: shards[0].now(),
-        high_water_id: shards
+        now: stripes[0].table.now(),
+        high_water_id: stripes
             .iter()
-            .map(|shard| shard.assigned_id_high_water())
+            .map(|stripe| stripe.table.assigned_id_high_water())
             .max()
             .unwrap_or(0),
         attrs: attrs
@@ -386,23 +433,18 @@ fn build_snapshot_state(
     }
 }
 
-/// Rebuilds the in-memory state (vocabulary + shard brokers) that a
-/// recovered snapshot-plus-log-tail describes. Shared by durable open,
+/// Rebuilds the in-memory state (vocabulary, stripe tables, sessions) that
+/// a recovered snapshot-plus-log-tail describes. Shared by durable open,
 /// follower open, and mid-run snapshot installation on a follower.
 fn rebuild_state(
-    kind: EngineKind,
     n: usize,
     snapshot: Option<SnapshotState>,
     ops: Vec<(Lsn, WalOp)>,
-) -> (Vocabulary, Vec<Broker>, SessionTable) {
+) -> (Vocabulary, Vec<SubTable>, SessionTable) {
     let mut vocab = Vocabulary::new();
     let mut sessions = SessionTable::new();
-    let mut brokers: Vec<Broker> = (0..n)
-        .map(|i| {
-            Broker::new(kind)
-                .with_id_lane(i as u32, n as u32)
-                .without_event_store()
-        })
+    let mut tables: Vec<SubTable> = (0..n)
+        .map(|i| SubTable::with_id_lane(i as u32, n as u32))
         .collect();
 
     if let Some(snap) = snapshot {
@@ -414,25 +456,22 @@ fn rebuild_state(
         for s in &snap.strings {
             vocab.string(s);
         }
-        let mut per_shard: Vec<Vec<(SubscriptionId, Subscription, Validity)>> =
+        let mut per_stripe: Vec<Vec<(SubscriptionId, Subscription, Validity)>> =
             (0..n).map(|_| Vec::new()).collect();
         for (id, sub, validity) in snap.subs {
-            per_shard[id.0 as usize % n].push((id, sub, validity));
+            per_stripe[id.0 as usize % n].push((id, sub, validity));
         }
-        for (broker, entries) in brokers.iter_mut().zip(per_shard) {
-            broker.restore(entries, snap.now);
-        }
-        for broker in &mut brokers {
+        for (table, entries) in tables.iter_mut().zip(per_stripe) {
+            table.restore(entries, snap.now);
             // Ids assigned before the snapshot but already retired are
             // absent from it; never reissue them to new subscribers.
-            broker.reserve_ids_below(snap.high_water_id);
+            table.reserve_ids_below(snap.high_water_id);
         }
         sessions = SessionTable::from_snapshot(snap.next_token, snap.sessions);
     }
 
-    // Replay the WAL tail. Per-shard op order matches the original apply
-    // order because live mutations append under the owning shard's lock
-    // (clock advances under all of them).
+    // Replay the WAL tail: its order is the original apply order, because
+    // live mutations append under the writer lock.
     for (_lsn, op) in ops {
         match op {
             WalOp::InternAttr(name) => {
@@ -442,19 +481,19 @@ fn rebuild_state(
                 vocab.string(&s);
             }
             WalOp::Subscribe { id, sub, validity } => {
-                brokers[id.0 as usize % n].restore_subscription(id, sub, validity);
+                tables[id.0 as usize % n].restore_one(id, Arc::new(sub), validity);
             }
             WalOp::Unsubscribe(id) => {
-                brokers[id.0 as usize % n].unsubscribe(id);
+                tables[id.0 as usize % n].remove(id);
             }
             WalOp::AdvanceTo(t) => {
-                for broker in brokers.iter_mut() {
+                for table in tables.iter_mut() {
                     // `t == now` advances are real (they expire stale
                     // validities); the `<` guard only tolerates logs
                     // recovered under the skip policy, where a surviving
                     // op may predate the clock.
-                    if t >= broker.now() {
-                        broker.advance_to(t);
+                    if t >= table.now() {
+                        table.advance_to(t, |_| {});
                     }
                 }
             }
@@ -465,15 +504,16 @@ fn rebuild_state(
                 // The reaped session's unsubscribes are re-derived from the
                 // table, mirroring how AdvanceTo re-derives expiries.
                 for id in sessions.reap(token) {
-                    brokers[id as usize % n].unsubscribe(SubscriptionId(id));
+                    tables[id as usize % n].remove(SubscriptionId(id));
                 }
             }
         }
     }
-    (vocab, brokers, sessions)
+    (vocab, tables, sessions)
 }
 
-/// A cloneable, thread-safe broker handle with per-shard locking.
+/// A cloneable, thread-safe broker handle: lock-free publishes, mutations
+/// serialized on one writer mutex.
 #[derive(Clone)]
 pub struct SharedBroker {
     inner: Arc<Inner>,
@@ -489,65 +529,39 @@ impl std::fmt::Debug for SharedBroker {
 }
 
 impl SharedBroker {
-    /// Creates a broker partitioned over `shards` independent engines of the
-    /// given kind (clamped to at least 1). Shard brokers run without an
-    /// event store: this handle is the fire-and-forget publish surface.
+    /// Creates an in-memory broker partitioned over `shards` stripes of the
+    /// given engine kind (clamped to at least 1). There is no event store:
+    /// this handle is the fire-and-forget publish surface.
     pub fn new(kind: EngineKind, shards: usize) -> Self {
-        Self::with_backpressure(kind, shards, Backpressure::Block)
+        let (vocab, tables, sessions) = rebuild_state(shards.max(1), None, Vec::new());
+        Self::assemble(kind, vocab, tables, sessions, None)
     }
 
-    /// Like [`SharedBroker::new`] with an explicit overload policy for the
-    /// publish paths: `Block` waits for each shard lock (lossless), `Shed`
-    /// skips shards whose lock is contended (bounded latency, possibly
-    /// missing matches), and `ErrorFast` makes
-    /// [`SharedBroker::try_publish_into`] fail with
-    /// [`ShardError::Overloaded`] on the first contended shard. The
-    /// infallible publish methods degrade `ErrorFast` to `Shed`.
-    ///
-    /// The policy only distinguishes behaviour in [`PublishMode::Locked`]:
-    /// the default RCU mode never takes a lock on the publish path, so
-    /// every policy behaves like `Block` minus the blocking — publishes
-    /// always see every shard and never shed, error, or wait.
-    pub fn with_backpressure(kind: EngineKind, shards: usize, backpressure: Backpressure) -> Self {
-        Self::with_publish_mode(kind, shards, backpressure, PublishMode::default())
-    }
-
-    /// [`SharedBroker::with_backpressure`] with an explicit [`PublishMode`]
-    /// — `Locked` restores the historical lock-the-shards publish path
-    /// (required for the lock-contention semantics of `Shed`/`ErrorFast`,
-    /// and used by the contention benchmarks as the baseline).
-    pub fn with_publish_mode(
+    /// Builds the handle around recovered (or empty) state, freezing each
+    /// table as its stripe's first published base — so lock-free publishes
+    /// see a recovered subscription set from the first event onward.
+    fn assemble(
         kind: EngineKind,
-        shards: usize,
-        backpressure: Backpressure,
-        mode: PublishMode,
+        vocab: Vocabulary,
+        tables: Vec<SubTable>,
+        sessions: SessionTable,
+        durable: Option<DurableState>,
     ) -> Self {
-        let n = shards.max(1);
-        let shards: Vec<Mutex<Broker>> = (0..n)
-            .map(|i| {
-                Mutex::new(
-                    Broker::new(kind)
-                        .with_id_lane(i as u32, n as u32)
-                        .without_event_store(),
-                )
-            })
+        let stripes: Vec<Stripe> = tables
+            .into_iter()
+            .map(|table| Stripe::freeze(table, kind))
             .collect();
-        let snaps: Vec<ShardSnap> = (0..n).map(|_| ShardSnap::empty(kind)).collect();
         Self {
             inner: Arc::new(Inner {
-                shards,
-                vocab: Mutex::new(Vocabulary::new()),
-                sessions: Mutex::new(SessionTable::new()),
-                next_shard: AtomicUsize::new(0),
-                backpressure,
-                durable: None,
+                vocab: Mutex::new(vocab),
+                sessions: Mutex::new(sessions),
+                next_stripe: AtomicUsize::new(0),
+                durable,
                 follower: AtomicBool::new(false),
                 kind,
-                mode,
-                published: RcuCell::new(Arc::new(BrokerSnapshot {
-                    shards: snaps.clone(),
-                })),
-                writer: Mutex::new(snaps),
+                stripes: stripes.len(),
+                published: RcuCell::new(snapshot_of(&stripes)),
+                writer: Mutex::new(stripes),
                 flips: AtomicU64::new(0),
                 rcu_stats: RcuStatsAgg::default(),
             }),
@@ -564,18 +578,12 @@ impl SharedBroker {
         shards: usize,
         dir: impl AsRef<Path>,
     ) -> Result<(Self, RecoveryReport), BrokerError> {
-        Self::open_durable_with(
-            kind,
-            shards,
-            Backpressure::Block,
-            dir,
-            DurabilityConfig::default(),
-        )
+        Self::open_durable_with(kind, shards, dir, DurabilityConfig::default())
     }
 
-    /// [`SharedBroker::open_durable`] with an explicit overload policy and
-    /// durability configuration (segment size, fsync cadence, corruption
-    /// policy, automatic snapshot threshold).
+    /// [`SharedBroker::open_durable`] with an explicit durability
+    /// configuration (segment size, fsync cadence, corruption policy,
+    /// automatic snapshot threshold).
     ///
     /// The shard count may differ from the one the log was written under:
     /// ids carry their own identity (`shard = id mod N`), so recovery
@@ -583,11 +591,10 @@ impl SharedBroker {
     pub fn open_durable_with(
         kind: EngineKind,
         shards: usize,
-        backpressure: Backpressure,
         dir: impl AsRef<Path>,
         config: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), BrokerError> {
-        Self::open_durable_inner(kind, shards, backpressure, dir, config, true)
+        Self::open_durable_inner(kind, shards, dir, config, true)
     }
 
     /// The shared open path. `prune_sessions` runs the dangling-binding
@@ -600,7 +607,6 @@ impl SharedBroker {
     fn open_durable_inner(
         kind: EngineKind,
         shards: usize,
-        backpressure: Backpressure,
         dir: impl AsRef<Path>,
         config: DurabilityConfig,
         prune_sessions: bool,
@@ -612,46 +618,17 @@ impl SharedBroker {
             ops,
             report,
         } = recovered;
-        let (vocab, brokers, mut sessions) = rebuild_state(kind, n, snapshot, ops);
+        let (vocab, tables, mut sessions) = rebuild_state(n, snapshot, ops);
         if prune_sessions {
-            sessions.prune_dangling(|id| brokers[id as usize % n].contains(SubscriptionId(id)));
+            sessions.prune_dangling(|id| tables[id as usize % n].contains(SubscriptionId(id)));
         }
-
-        // Freeze the recovered state as the first published snapshot, so
-        // lock-free publishes see the pre-crash subscription set from the
-        // first event onward.
-        let snaps: Vec<ShardSnap> = brokers
-            .iter()
-            .map(|b| {
-                let mut snap = ShardSnap::empty(kind);
-                snap.rebuild_from(b, kind);
-                snap
-            })
-            .collect();
-        let broker = Self {
-            inner: Arc::new(Inner {
-                shards: brokers.into_iter().map(Mutex::new).collect(),
-                vocab: Mutex::new(vocab),
-                sessions: Mutex::new(sessions),
-                next_shard: AtomicUsize::new(0),
-                backpressure,
-                durable: Some(DurableState {
-                    wal: Mutex::new(wal),
-                    degraded: AtomicBool::new(false),
-                    cause: Mutex::new(None),
-                    recovery: report,
-                }),
-                follower: AtomicBool::new(false),
-                kind,
-                mode: PublishMode::default(),
-                published: RcuCell::new(Arc::new(BrokerSnapshot {
-                    shards: snaps.clone(),
-                })),
-                writer: Mutex::new(snaps),
-                flips: AtomicU64::new(0),
-                rcu_stats: RcuStatsAgg::default(),
-            }),
+        let durable = DurableState {
+            wal: Mutex::new(wal),
+            degraded: AtomicBool::new(false),
+            cause: Mutex::new(None),
+            recovery: report,
         };
+        let broker = Self::assemble(kind, vocab, tables, sessions, Some(durable));
         Ok((broker, report))
     }
 
@@ -681,24 +658,9 @@ impl SharedBroker {
         }
         replication::mark_follower(dir).map_err(BrokerError::Replication)?;
         // `prune_sessions: false` — see `open_durable_inner`.
-        let (broker, report) =
-            Self::open_durable_inner(kind, shards, Backpressure::Block, dir, config, false)?;
+        let (broker, report) = Self::open_durable_inner(kind, shards, dir, config, false)?;
         broker.inner.follower.store(true, Ordering::Release);
         Ok((broker, report))
-    }
-
-    /// The configured overload policy.
-    pub fn backpressure(&self) -> Backpressure {
-        self.inner.backpressure
-    }
-
-    /// Warns when this broker's publish-mode/backpressure pairing is
-    /// inert — `Shed`/`ErrorFast` under the default [`PublishMode::Rcu`]
-    /// silently never fire, because lock-free publishes have no contention
-    /// to police (see [`crate::rcu::publish_config_warning`]). Callers
-    /// constructing a broker from user configuration should surface this.
-    pub fn config_warning(&self) -> Option<&'static str> {
-        crate::rcu::publish_config_warning(self.inner.mode, self.inner.backpressure)
     }
 
     /// Creates a broker with one shard per available hardware thread.
@@ -708,29 +670,31 @@ impl SharedBroker {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
+        self.inner.stripes
+    }
+
+    /// The engine kind of the frozen bases.
+    pub fn engine_kind(&self) -> EngineKind {
+        self.inner.kind
     }
 
     /// The shard owning `id` (ids are striped across shards).
     fn shard_of(&self, id: SubscriptionId) -> usize {
-        id.0 as usize % self.inner.shards.len()
+        id.0 as usize % self.inner.stripes
+    }
+
+    /// The stripe the next subscription lands on (round-robin keeps stripes
+    /// balanced).
+    fn next_stripe(&self) -> usize {
+        self.inner.next_stripe.fetch_add(1, Ordering::Relaxed) % self.inner.stripes
     }
 
     // ---- RCU snapshot plumbing -------------------------------------------
 
-    /// Takes the writer lock when running in RCU mode (`None` in locked
-    /// mode, where publishes read the shard brokers directly). First lock in
-    /// the global order `writer < vocab < shards < wal`.
-    fn writer_lock(&self) -> Option<MutexGuard<'_, Vec<ShardSnap>>> {
-        (self.inner.mode == PublishMode::Rcu).then(|| self.inner.writer.lock())
-    }
-
     /// Publishes the writer state as a new immutable snapshot. Caller holds
     /// the writer lock, which serializes flips.
-    fn flip(&self, snaps: &[ShardSnap]) {
-        self.inner.published.publish(Arc::new(BrokerSnapshot {
-            shards: snaps.to_vec(),
-        }));
+    fn flip(&self, stripes: &[Stripe]) {
+        self.inner.published.publish(snapshot_of(stripes));
         self.inner.flips.fetch_add(1, Ordering::Relaxed);
         SNAPSHOT_FLIPS.inc();
     }
@@ -741,16 +705,10 @@ impl SharedBroker {
         view.stats.reset();
     }
 
-    /// The configured publish mode.
-    pub fn publish_mode(&self) -> PublishMode {
-        self.inner.mode
-    }
-
     /// Point-in-time view of the RCU machinery: flips, epoch, deferred
     /// reclamation and pinned readers.
     pub fn rcu_status(&self) -> RcuStatus {
         RcuStatus {
-            mode: self.inner.mode,
             flips: self.inner.flips.load(Ordering::Relaxed),
             epoch: self.inner.published.epoch(),
             retired: self.inner.published.retired_len(),
@@ -758,35 +716,27 @@ impl SharedBroker {
         }
     }
 
-    /// Aggregated engine stats of the RCU publish path. The lock-free reads
-    /// bypass the shard engines (their own counters only see writer-side
-    /// traffic), so per-event counts and phase timings are folded in here
-    /// from every publishing thread's scratch.
+    /// Aggregated engine stats of the publish path: per-event counts and
+    /// phase timings folded in from every publishing thread's scratch.
     pub fn rcu_stats(&self) -> EngineStats {
         self.inner.rcu_stats.load()
     }
 
     /// Merges every shard's pending delta/tombstones into fresh frozen
     /// bases and drains reclaimable snapshot garbage. Publishes stay
-    /// lock-free throughout. No-op in locked mode. Useful before latency
-    /// measurements (a merged snapshot has no brute-forced delta) and in
-    /// quiet periods.
+    /// lock-free throughout. Useful before latency measurements (a merged
+    /// snapshot has no brute-forced delta) and in quiet periods.
     pub fn compact(&self) {
-        let Some(mut writer) = self.writer_lock() else {
-            return;
-        };
+        let mut stripes = self.inner.writer.lock();
         let mut changed = false;
-        for (i, snap) in writer.iter_mut().enumerate() {
-            if snap.has_pending() {
-                let broker = self.inner.shards[i].lock();
-                snap.rebuild_from(&broker, self.inner.kind);
-                changed = true;
-            }
+        for stripe in stripes.iter_mut().filter(|s| s.snap.has_pending()) {
+            stripe.snap.rebuild_from(&stripe.table);
+            changed = true;
         }
         if changed {
-            self.flip(&writer);
+            self.flip(&stripes);
         }
-        drop(writer);
+        drop(stripes);
         self.inner.published.reclaim();
     }
 
@@ -890,10 +840,9 @@ impl SharedBroker {
         out
     }
 
-    // ---- subscriptions (lock one shard) ----------------------------------
+    // ---- subscriptions (writer lock) -------------------------------------
 
-    /// Registers a subscription, locking only the shard that receives it
-    /// (round-robin assignment keeps shards balanced).
+    /// Registers a subscription on the next stripe in round-robin order.
     ///
     /// # Panics
     /// Panics if this is a durable broker in degraded mode; use
@@ -914,17 +863,15 @@ impl SharedBroker {
         validity: Validity,
     ) -> Result<SubscriptionId, BrokerError> {
         self.check_writable()?;
-        let mut writer = self.writer_lock();
-        let shard = self.inner.next_shard.fetch_add(1, Ordering::Relaxed) % self.shard_count();
-        let mut broker = self.inner.shards[shard].lock();
+        let mut stripes = self.inner.writer.lock();
+        let stripe = &mut stripes[self.next_stripe()];
         if let Some(durable) = &self.inner.durable {
             durable.check()?;
-            // Log under the shard lock so this shard's WAL order equals its
-            // apply order; the id is peeked (not consumed) so a failed
-            // append leaves no gap.
-            let id = broker.peek_next_id();
+            // Log under the writer lock so WAL order equals apply order;
+            // the id is peeked (not consumed) so a failed append leaves no
+            // gap.
             let op = WalOp::Subscribe {
-                id,
+                id: stripe.table.peek_next_id(),
                 sub: sub.clone(),
                 validity,
             };
@@ -932,17 +879,12 @@ impl SharedBroker {
                 return Err(durable.degrade(e));
             }
         }
-        let snap_sub = writer.is_some().then(|| Arc::new(sub.clone()));
-        let id = broker.subscribe(sub, validity);
-        if let Some(snaps) = writer.as_deref_mut() {
-            snaps[shard].note_insert(id, snap_sub.expect("built above"), &broker, self.inner.kind);
-            drop(broker);
-            self.flip(snaps);
-        }
+        let id = stripe.insert(sub, validity);
+        self.flip(&stripes);
         Ok(id)
     }
 
-    /// Removes a subscription, locking only its owning shard.
+    /// Removes a subscription.
     ///
     /// # Panics
     /// Panics if this is a durable broker in degraded mode; use
@@ -957,45 +899,42 @@ impl SharedBroker {
     /// logging anything.
     pub fn try_unsubscribe(&self, id: SubscriptionId) -> Result<bool, BrokerError> {
         self.check_writable()?;
-        let mut writer = self.writer_lock();
-        let shard = self.shard_of(id);
-        let mut broker = self.inner.shards[shard].lock();
+        let mut stripes = self.inner.writer.lock();
+        let stripe = &mut stripes[self.shard_of(id)];
         if let Some(durable) = &self.inner.durable {
             durable.check()?;
-            if !broker.contains(id) {
+            if !stripe.table.contains(id) {
                 return Ok(false);
             }
             if let Err(e) = durable.wal.lock().append(&WalOp::Unsubscribe(id)) {
                 return Err(durable.degrade(e));
             }
         }
-        let removed = broker.unsubscribe(id);
+        let removed = stripe.remove(id);
         if removed {
-            if let Some(snaps) = writer.as_deref_mut() {
-                snaps[shard].note_remove(id, &broker, self.inner.kind);
-                drop(broker);
-                self.flip(snaps);
-            }
+            self.flip(&stripes);
         }
         Ok(removed)
     }
 
     /// Number of live subscriptions across all shards.
     pub fn subscription_count(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().subscription_count())
-            .sum()
+        self.shard_subscription_counts().iter().sum()
     }
 
     /// Live subscriptions per shard.
     pub fn shard_subscription_counts(&self) -> Vec<usize> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().subscription_count())
-            .collect()
+        let stripes = self.inner.writer.lock();
+        stripes.iter().map(|stripe| stripe.table.len()).collect()
+    }
+
+    /// Calls `f` on every live subscription with its id and validity (one
+    /// consistent cut; mutators wait while it runs).
+    pub fn for_each_live_subscription(
+        &self,
+        mut f: impl FnMut(SubscriptionId, &Subscription, Validity),
+    ) {
+        live_rows(&self.inner.writer.lock()).for_each(|(id, sub, validity)| f(id, sub, validity));
     }
 
     // ---- durable sessions ------------------------------------------------
@@ -1032,16 +971,15 @@ impl SharedBroker {
         validity: Validity,
     ) -> Result<SubscriptionId, BrokerError> {
         self.check_writable()?;
-        let mut writer = self.writer_lock();
+        let mut stripes = self.inner.writer.lock();
         let mut sessions = self.inner.sessions.lock();
         if !sessions.contains(token) {
             return Err(BrokerError::UnknownSession(token));
         }
-        let shard = self.inner.next_shard.fetch_add(1, Ordering::Relaxed) % self.shard_count();
-        let mut broker = self.inner.shards[shard].lock();
+        let stripe = &mut stripes[self.next_stripe()];
         if let Some(durable) = &self.inner.durable {
             durable.check()?;
-            let id = broker.peek_next_id();
+            let id = stripe.table.peek_next_id();
             let mut wal = durable.wal.lock();
             if let Err(e) = wal.append(&WalOp::SessionBind { token, id }) {
                 return Err(durable.degrade(e));
@@ -1057,14 +995,9 @@ impl SharedBroker {
                 return Err(durable.degrade(e));
             }
         }
-        let snap_sub = writer.is_some().then(|| Arc::new(sub.clone()));
-        let id = broker.subscribe(sub, validity);
+        let id = stripe.insert(sub, validity);
         sessions.bind(token, id.0);
-        if let Some(snaps) = writer.as_deref_mut() {
-            snaps[shard].note_insert(id, snap_sub.expect("built above"), &broker, self.inner.kind);
-            drop(broker);
-            self.flip(snaps);
-        }
+        self.flip(&stripes);
         Ok(id)
     }
 
@@ -1081,7 +1014,7 @@ impl SharedBroker {
         id: SubscriptionId,
     ) -> Result<bool, BrokerError> {
         self.check_writable()?;
-        let mut writer = self.writer_lock();
+        let mut stripes = self.inner.writer.lock();
         let mut sessions = self.inner.sessions.lock();
         if !sessions.contains(token) {
             return Err(BrokerError::UnknownSession(token));
@@ -1089,11 +1022,10 @@ impl SharedBroker {
         if sessions.owner_of(id.0) != Some(token) {
             return Ok(false);
         }
-        let shard = self.shard_of(id);
-        let mut broker = self.inner.shards[shard].lock();
+        let stripe = &mut stripes[self.shard_of(id)];
         if let Some(durable) = &self.inner.durable {
             durable.check()?;
-            if !broker.contains(id) {
+            if !stripe.table.contains(id) {
                 // A binding to a dead id cannot arise at runtime (only from
                 // a torn log, repaired at open); drop it defensively.
                 sessions.release(token, id.0);
@@ -1107,14 +1039,10 @@ impl SharedBroker {
                 return Err(durable.degrade(e));
             }
         }
-        let removed = broker.unsubscribe(id);
+        let removed = stripe.remove(id);
         sessions.release(token, id.0);
         if removed {
-            if let Some(snaps) = writer.as_deref_mut() {
-                snaps[shard].note_remove(id, &broker, self.inner.kind);
-                drop(broker);
-                self.flip(snaps);
-            }
+            self.flip(&stripes);
         }
         Ok(removed)
     }
@@ -1127,7 +1055,7 @@ impl SharedBroker {
     /// session costs one record. All removals land in a single RCU flip.
     pub fn try_session_reap(&self, token: u64) -> Result<Vec<SubscriptionId>, BrokerError> {
         self.check_writable()?;
-        let mut writer = self.writer_lock();
+        let mut stripes = self.inner.writer.lock();
         let mut sessions = self.inner.sessions.lock();
         if !sessions.contains(token) {
             return Err(BrokerError::UnknownSession(token));
@@ -1144,18 +1072,10 @@ impl SharedBroker {
             .map(SubscriptionId)
             .collect();
         for &id in &ids {
-            let shard = self.shard_of(id);
-            let mut broker = self.inner.shards[shard].lock();
-            if broker.unsubscribe(id) {
-                if let Some(snaps) = writer.as_deref_mut() {
-                    snaps[shard].note_remove(id, &broker, self.inner.kind);
-                }
-            }
+            stripes[self.shard_of(id)].remove(id);
         }
         if !ids.is_empty() {
-            if let Some(snaps) = writer.as_deref() {
-                self.flip(snaps);
-            }
+            self.flip(&stripes);
         }
         Ok(ids)
     }
@@ -1188,7 +1108,7 @@ impl SharedBroker {
         self.inner.sessions.lock().sessions.len()
     }
 
-    // ---- events (lock one shard at a time) -------------------------------
+    // ---- events (no locks) -----------------------------------------------
 
     /// Publishes an event, returning the matched subscriptions sorted by id.
     pub fn publish(&self, event: &Event) -> Vec<SubscriptionId> {
@@ -1198,39 +1118,11 @@ impl SharedBroker {
     }
 
     /// Publishes an event, appending the matched ids to `out` (sorted by id
-    /// within this publish). Locks one shard at a time and allocates nothing
-    /// beyond what `out` needs.
-    ///
-    /// Infallible: under [`Backpressure::Shed`] (or `ErrorFast`, which this
-    /// path degrades to `Shed`) contended shards are skipped and counted,
-    /// and the result may be missing their matches.
-    pub fn publish_into(&self, event: &Event, out: &mut Vec<SubscriptionId>) {
-        let _ = self.publish_policed(event, out, false);
-    }
-
-    /// Publishes an event honouring the full [`Backpressure`] policy.
-    ///
-    /// Returns the number of shards skipped because their lock was contended
-    /// (always 0 under [`Backpressure::Block`]). Under
-    /// [`Backpressure::ErrorFast`] the first contended shard aborts the
-    /// publish with [`ShardError::Overloaded`] and `out` is left truncated
-    /// to its original length.
-    ///
-    /// In the default [`PublishMode::Rcu`] there are no shard locks to
-    /// contend on: this never sheds and never errors, reporting 0 skipped
-    /// shards for every policy.
-    pub fn try_publish_into(
-        &self,
-        event: &Event,
-        out: &mut Vec<SubscriptionId>,
-    ) -> Result<usize, ShardError> {
-        self.publish_policed(event, out, true)
-    }
-
-    /// Lock-free publish: pin the current snapshot, match every shard's
+    /// within this publish): pin the current snapshot, match every shard's
     /// view with this thread's scratch, unpin, sort. Nothing here blocks or
-    /// contends — the pin is two atomic writes to a thread-owned slot.
-    fn publish_rcu(&self, event: &Event, out: &mut Vec<SubscriptionId>) {
+    /// contends — the pin is two atomic writes to a thread-owned slot — and
+    /// nothing is allocated beyond what `out` needs.
+    pub fn publish_into(&self, event: &Event, out: &mut Vec<SubscriptionId>) {
         crate::broker::PUBLISHES.inc();
         let start = out.len();
         let snap = self.inner.published.pin();
@@ -1240,7 +1132,7 @@ impl SharedBroker {
                 shard.match_into(event, &mut scratch.view, out);
             }
             // Every shard view recorded the event; the aggregate counts it
-            // once, matching the locked path's max-across-shards convention.
+            // once.
             scratch.view.stats.events = 1;
             self.fold_stats(&mut scratch.view);
         });
@@ -1248,44 +1140,7 @@ impl SharedBroker {
         out[start..].sort_unstable();
     }
 
-    fn publish_policed(
-        &self,
-        event: &Event,
-        out: &mut Vec<SubscriptionId>,
-        error_fast: bool,
-    ) -> Result<usize, ShardError> {
-        if self.inner.mode == PublishMode::Rcu {
-            self.publish_rcu(event, out);
-            return Ok(0);
-        }
-        let start = out.len();
-        let block = self.inner.backpressure == Backpressure::Block;
-        let error_fast = error_fast && self.inner.backpressure == Backpressure::ErrorFast;
-        let mut skipped = 0usize;
-        for (i, shard) in self.inner.shards.iter().enumerate() {
-            if block {
-                shard.lock().publish_into(event, out);
-                continue;
-            }
-            match shard.try_lock() {
-                Some(mut broker) => broker.publish_into(event, out),
-                None if error_fast => {
-                    out.truncate(start);
-                    return Err(ShardError::Overloaded { shard: i });
-                }
-                None => {
-                    skipped += 1;
-                    SHED_SHARDS.inc();
-                }
-            }
-        }
-        out[start..].sort_unstable();
-        Ok(skipped)
-    }
-
-    /// Publishes a batch, returning one sorted match set per event. Each
-    /// shard is visited once for the whole batch, amortising locking over
-    /// `events.len()` events.
+    /// Publishes a batch, returning one sorted match set per event.
     pub fn publish_batch(&self, events: &[Event]) -> Vec<Vec<SubscriptionId>> {
         let mut out = Vec::new();
         self.publish_batch_into(events, &mut out);
@@ -1293,9 +1148,11 @@ impl SharedBroker {
     }
 
     /// Batched publish into a caller-owned buffer (one inner vector per
-    /// event, reused across calls). Per-shard scratch buffers are
-    /// thread-local, so concurrent batch publishers never serialize on
-    /// scratch acquisition and the steady state allocates nothing.
+    /// event, reused across calls). One snapshot pin covers the whole
+    /// batch, so every event in it matches against the same consistent cut.
+    /// Per-shard scratch buffers are thread-local, so concurrent batch
+    /// publishers never serialize on scratch acquisition and the steady
+    /// state allocates nothing.
     pub fn publish_batch_into(&self, events: &[Event], out: &mut Vec<Vec<SubscriptionId>>) {
         out.resize_with(events.len(), Vec::new);
         out.truncate(events.len());
@@ -1305,41 +1162,6 @@ impl SharedBroker {
         if events.is_empty() {
             return;
         }
-        if self.inner.mode == PublishMode::Rcu {
-            return self.publish_batch_rcu(events, out);
-        }
-        let block = self.inner.backpressure == Backpressure::Block;
-        PUBLISH_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            for shard in &self.inner.shards {
-                // Batch publishes degrade ErrorFast to Shed, like
-                // `publish_into`.
-                let mut guard = if block {
-                    shard.lock()
-                } else {
-                    match shard.try_lock() {
-                        Some(guard) => guard,
-                        None => {
-                            SHED_SHARDS.inc();
-                            continue;
-                        }
-                    }
-                };
-                guard.publish_batch_into(events, &mut scratch.shard_results);
-                drop(guard);
-                for (dst, src) in out.iter_mut().zip(&scratch.shard_results) {
-                    dst.extend_from_slice(src);
-                }
-            }
-        });
-        for dst in out.iter_mut() {
-            dst.sort_unstable();
-        }
-    }
-
-    /// Lock-free batched publish: one snapshot pin covers the whole batch,
-    /// so every event in it matches against the same consistent cut.
-    fn publish_batch_rcu(&self, events: &[Event], out: &mut [Vec<SubscriptionId>]) {
         crate::broker::PUBLISHES.add(events.len() as u64);
         let snap = self.inner.published.pin();
         PUBLISH_SCRATCH.with(|cell| {
@@ -1360,18 +1182,15 @@ impl SharedBroker {
         }
     }
 
-    // ---- clock (lock all shards in fixed order) --------------------------
+    // ---- clock (writer lock, all shards in one flip) ----------------------
 
     /// Current logical time (all shards tick together).
     pub fn now(&self) -> LogicalTime {
-        self.inner.shards[0].lock().now()
+        self.inner.writer.lock()[0].table.now()
     }
 
     /// Advances every shard's clock to `t`, expiring subscriptions whose
-    /// validity ended. Acquires all shard locks in ascending index order
-    /// (plus the vocabulary and WAL locks on durable brokers, respecting
-    /// the global `vocab < shards < wal` order), so lock ordering is total
-    /// and deadlock-free. Returns the number of expired subscriptions.
+    /// validity ended. Returns the number of expired subscriptions.
     ///
     /// # Panics
     /// Panics if this is a durable broker in degraded mode; use
@@ -1407,63 +1226,34 @@ impl SharedBroker {
 
     /// The clock path shared by [`SharedBroker::try_advance_to`] (explicit
     /// target) and [`SharedBroker::try_tick`] (`now + 1`, computed under the
-    /// locks). Also the automatic-snapshot trigger point: with every lock
-    /// already held, a due snapshot costs no extra synchronisation.
+    /// writer lock). Also the automatic-snapshot trigger point: the writer
+    /// lock is already held, so a due snapshot is a consistent cut.
     fn advance_locked(&self, t: Option<LogicalTime>) -> Result<usize, BrokerError> {
         self.check_writable()?;
-        let mut writer = self.writer_lock();
-        // The vocabulary and session locks are only needed for a potential
-        // auto-snapshot, but the global lock order (writer < vocab <
-        // sessions < shards < wal) requires taking them before the shard
-        // locks — durable brokers pay that cost.
-        let vocab = self.inner.durable.as_ref().map(|_| self.inner.vocab.lock());
-        let sessions = self
-            .inner
-            .durable
-            .as_ref()
-            .map(|_| self.inner.sessions.lock());
-        let mut guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
-        let t = t.unwrap_or_else(|| guards[0].now().plus(1));
+        let mut stripes = self.inner.writer.lock();
+        let now = stripes[0].table.now();
+        let t = t.unwrap_or_else(|| now.plus(1));
         if let Some(durable) = &self.inner.durable {
             durable.check()?;
             // Validate before logging so a bad target never reaches the log.
             // Even `t == now` is logged: it can expire subscriptions whose
             // validity was already stale when they were registered, and
             // recovery must reproduce that.
-            assert!(t >= guards[0].now(), "clock cannot go backwards");
+            assert!(t >= now, "clock cannot go backwards");
             if let Err(e) = durable.wal.lock().append(&WalOp::AdvanceTo(t)) {
                 return Err(durable.degrade(e));
             }
         }
-        let expired = if let Some(snaps) = writer.as_deref_mut() {
-            // Tombstone every expiry into the snapshot state; all shards'
-            // expiries land in the single flip below, so publishers observe
-            // the clock advance atomically.
-            let mut expired_ids = Vec::new();
-            let mut total = 0usize;
-            for (snap, b) in snaps.iter_mut().zip(guards.iter_mut()) {
-                expired_ids.clear();
-                let (n, _) = b.advance_to_collect(t, Some(&mut expired_ids));
-                total += n;
-                for &id in &expired_ids {
-                    snap.note_remove(id, b, self.inner.kind);
-                }
-            }
-            total
-        } else {
-            guards.iter_mut().map(|b| b.advance_to(t).0).sum()
-        };
-        if let Some(snaps) = writer.as_deref() {
-            self.flip(snaps);
-        }
+        // All stripes' expiries land in the single flip below, so publishers
+        // observe the clock advance atomically.
+        let expired = stripes.iter_mut().map(|stripe| stripe.advance_to(t)).sum();
+        self.flip(&stripes);
         if let Some(durable) = &self.inner.durable {
+            let vocab = self.inner.vocab.lock();
+            let sessions = self.inner.sessions.lock();
             let mut wal = durable.wal.lock();
             if wal.wants_snapshot() {
-                let state = build_snapshot_state(
-                    vocab.as_ref().expect("durable holds vocab"),
-                    sessions.as_ref().expect("durable holds sessions"),
-                    &guards,
-                );
+                let state = build_snapshot_state(&vocab, &sessions, &stripes);
                 if let Err(e) = wal.snapshot(&state) {
                     // The advance itself is already durable; a failed
                     // snapshot only degrades the broker if it poisoned the
@@ -1549,11 +1339,11 @@ impl SharedBroker {
         self.check_writable()?;
         let durable = self.inner.durable.as_ref().ok_or(BrokerError::NotDurable)?;
         durable.check()?;
+        let stripes = self.inner.writer.lock();
         let vocab = self.inner.vocab.lock();
         let sessions = self.inner.sessions.lock();
-        let guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
         let mut wal = durable.wal.lock();
-        let state = build_snapshot_state(&vocab, &sessions, &guards);
+        let state = build_snapshot_state(&vocab, &sessions, &stripes);
         match wal.snapshot(&state) {
             Ok(path) => Ok(path),
             Err(e) => {
@@ -1590,10 +1380,9 @@ impl SharedBroker {
         if !self.is_follower() {
             return Err(BrokerError::NotFollower);
         }
-        let mut writer = self.writer_lock();
+        let mut stripes = self.inner.writer.lock();
         let mut vocab = self.inner.vocab.lock();
         let mut sessions = self.inner.sessions.lock();
-        let mut guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
         durable.check()?;
         let mut wal = durable.wal.lock();
         let expected = wal.next_lsn();
@@ -1603,8 +1392,7 @@ impl SharedBroker {
                 got: first_lsn,
             });
         }
-        let n = guards.len();
-        let kind = self.inner.kind;
+        let n = stripes.len();
         for (i, payload) in payloads.iter().enumerate() {
             let lsn = first_lsn + i as u64;
             let op = WalOp::decode(payload).map_err(|e| {
@@ -1628,34 +1416,15 @@ impl SharedBroker {
                     vocab.string(&s);
                 }
                 WalOp::Subscribe { id, sub, validity } => {
-                    let shard = id.0 as usize % n;
-                    let arc = writer.is_some().then(|| Arc::new(sub.clone()));
-                    let broker = &mut *guards[shard];
-                    broker.restore_subscription(id, sub, validity);
-                    if let Some(snaps) = writer.as_deref_mut() {
-                        snaps[shard].note_insert(id, arc.expect("built above"), broker, kind);
-                    }
+                    stripes[id.0 as usize % n].restore_one(id, sub, validity);
                 }
                 WalOp::Unsubscribe(id) => {
-                    let shard = id.0 as usize % n;
-                    let broker = &mut *guards[shard];
-                    if broker.unsubscribe(id) {
-                        if let Some(snaps) = writer.as_deref_mut() {
-                            snaps[shard].note_remove(id, broker, kind);
-                        }
-                    }
+                    stripes[id.0 as usize % n].remove(id);
                 }
                 WalOp::AdvanceTo(t) => {
-                    let mut expired = Vec::new();
-                    for (shard, broker) in guards.iter_mut().enumerate() {
-                        if t >= broker.now() {
-                            expired.clear();
-                            broker.advance_to_collect(t, Some(&mut expired));
-                            if let Some(snaps) = writer.as_deref_mut() {
-                                for &eid in &expired {
-                                    snaps[shard].note_remove(eid, broker, kind);
-                                }
-                            }
+                    for stripe in stripes.iter_mut() {
+                        if t >= stripe.table.now() {
+                            stripe.advance_to(t);
                         }
                     }
                 }
@@ -1666,25 +1435,15 @@ impl SharedBroker {
                     // One record, many removals — re-derived here exactly as
                     // at local replay.
                     for raw in sessions.reap(token) {
-                        let id = SubscriptionId(raw);
-                        let shard = raw as usize % n;
-                        let broker = &mut *guards[shard];
-                        if broker.unsubscribe(id) {
-                            if let Some(snaps) = writer.as_deref_mut() {
-                                snaps[shard].note_remove(id, broker, kind);
-                            }
-                        }
+                        stripes[raw as usize % n].remove(SubscriptionId(raw));
                     }
                 }
             }
         }
         let next = wal.next_lsn();
         drop(wal);
-        drop(guards);
         if !payloads.is_empty() {
-            if let Some(snaps) = writer.as_deref() {
-                self.flip(snaps);
-            }
+            self.flip(&stripes);
         }
         Ok(next)
     }
@@ -1700,10 +1459,9 @@ impl SharedBroker {
         if !self.is_follower() {
             return Err(BrokerError::NotFollower);
         }
-        let mut writer = self.writer_lock();
+        let mut stripes = self.inner.writer.lock();
         let mut vocab = self.inner.vocab.lock();
         let mut sessions = self.inner.sessions.lock();
-        let mut guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
         durable.check()?;
         let mut wal = durable.wal.lock();
         let dir = wal.dir().to_path_buf();
@@ -1711,22 +1469,16 @@ impl SharedBroker {
         replication::install_snapshot(&dir, lsn, bytes).map_err(BrokerError::Replication)?;
         let (new_wal, recovered) = Wal::open(&dir, config).map_err(BrokerError::Recovery)?;
         *wal = new_wal;
-        let n = guards.len();
-        let (new_vocab, brokers, new_sessions) =
-            rebuild_state(self.inner.kind, n, recovered.snapshot, recovered.ops);
+        let kind = self.inner.kind;
+        let (new_vocab, tables, new_sessions) =
+            rebuild_state(stripes.len(), recovered.snapshot, recovered.ops);
         *vocab = new_vocab;
         *sessions = new_sessions;
-        for (guard, broker) in guards.iter_mut().zip(brokers) {
-            **guard = broker;
+        for (stripe, table) in stripes.iter_mut().zip(tables) {
+            *stripe = Stripe::freeze(table, kind);
         }
-        if let Some(snaps) = writer.as_deref_mut() {
-            for (snap, guard) in snaps.iter_mut().zip(guards.iter()) {
-                snap.rebuild_from(guard, self.inner.kind);
-            }
-            drop(wal);
-            drop(guards);
-            self.flip(snaps);
-        }
+        drop(wal);
+        self.flip(&stripes);
         Ok(())
     }
 
@@ -1741,10 +1493,9 @@ impl SharedBroker {
         if !self.is_follower() {
             return Err(BrokerError::NotFollower);
         }
-        let _writer = self.writer_lock();
+        let stripes = self.inner.writer.lock();
         let _vocab = self.inner.vocab.lock();
         let mut sessions = self.inner.sessions.lock();
-        let guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
         durable.check()?;
         let mut wal = durable.wal.lock();
         if let Err(e) = wal.sync() {
@@ -1758,20 +1509,11 @@ impl SharedBroker {
         // leader-only repair runs: a binding whose `Subscribe` the stream
         // never delivered (the old leader died inside the pair) is now
         // definitively dangling, not merely in flight.
-        let n = guards.len();
-        sessions.prune_dangling(|id| guards[id as usize % n].contains(SubscriptionId(id)));
-        drop(guards);
+        let n = stripes.len();
+        sessions.prune_dangling(|id| stripes[id as usize % n].table.contains(SubscriptionId(id)));
         drop(sessions);
         self.inner.follower.store(false, Ordering::Release);
         Ok(next)
-    }
-
-    // ---- escape hatch ----------------------------------------------------
-
-    /// Runs `f` with exclusive access to one shard broker (statistics,
-    /// engine introspection). Prefer the typed methods for normal use.
-    pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut Broker) -> R) -> R {
-        f(&mut self.inner.shards[shard].lock())
     }
 }
 
@@ -1864,73 +1606,6 @@ mod tests {
         assert_eq!(expired, 8);
         assert_eq!(broker.subscription_count(), 0);
         assert_eq!(broker.now(), LogicalTime(5));
-    }
-
-    /// Holds shard 0's lock on this thread while `f` publishes from another
-    /// thread, so the non-blocking policies see real contention.
-    fn with_shard0_contended<R: Send + 'static>(
-        broker: &SharedBroker,
-        f: impl FnOnce(SharedBroker) -> R + Send + 'static,
-    ) -> R {
-        broker.with_shard(0, |_locked| {
-            let clone = broker.clone();
-            std::thread::spawn(move || f(clone)).join().unwrap()
-        })
-    }
-
-    /// Backpressure policies act on shard-lock contention, so these tests
-    /// pin the locked publish path; under RCU publishes never contend.
-    fn two_shard_broker(policy: Backpressure) -> (SharedBroker, Event, Vec<SubscriptionId>) {
-        let broker =
-            SharedBroker::with_publish_mode(EngineKind::Counting, 2, policy, PublishMode::Locked);
-        let attr = broker.attr("bp");
-        let mut ids = Vec::new();
-        for _ in 0..2 {
-            let sub = Subscription::builder().eq(attr, 1i64).build().unwrap();
-            ids.push(broker.subscribe(sub, Validity::forever()));
-        }
-        let event = Event::builder().pair(attr, 1i64).build().unwrap();
-        (broker, event, ids)
-    }
-
-    #[test]
-    fn block_policy_waits_for_every_shard() {
-        let (broker, event, ids) = two_shard_broker(Backpressure::Block);
-        let mut out = Vec::new();
-        let skipped = broker.try_publish_into(&event, &mut out).unwrap();
-        assert_eq!(skipped, 0);
-        assert_eq!(out, ids);
-    }
-
-    #[test]
-    fn shed_policy_skips_contended_shard() {
-        let (broker, event, ids) = two_shard_broker(Backpressure::Shed);
-        let (skipped, out) = with_shard0_contended(&broker, move |b| {
-            let mut out = Vec::new();
-            let skipped = b.try_publish_into(&event, &mut out).unwrap();
-            (skipped, out)
-        });
-        assert_eq!(skipped, 1, "shard 0 was locked");
-        assert_eq!(out, vec![ids[1]], "shard 1 still answered");
-    }
-
-    #[test]
-    fn error_fast_policy_reports_overload() {
-        let (broker, event, ids) = two_shard_broker(Backpressure::ErrorFast);
-        let ev = event.clone();
-        let (err, out) = with_shard0_contended(&broker, move |b| {
-            let mut out = Vec::new();
-            let err = b.try_publish_into(&ev, &mut out).unwrap_err();
-            (err, out)
-        });
-        assert_eq!(err, ShardError::Overloaded { shard: 0 });
-        assert!(out.is_empty(), "aborted publish reports no matches");
-        // The infallible path degrades ErrorFast to Shed under contention…
-        let ev = event.clone();
-        let degraded = with_shard0_contended(&broker, move |b| b.publish(&ev));
-        assert_eq!(degraded, vec![ids[1]]);
-        // …and is exact once the contention clears.
-        assert_eq!(broker.publish(&event), ids);
     }
 
     /// The ISSUE's stress shape: concurrent subscribers, publishers and a

@@ -17,7 +17,7 @@
 //!
 //! The full matrix runs all five paper engines × shard counts {1, 2, 7}.
 
-use pubsub_broker::{LogicalTime, PublishMode, SharedBroker, Validity};
+use pubsub_broker::{Broker, LogicalTime, SharedBroker, Validity};
 use pubsub_core::EngineKind;
 use pubsub_types::{AttrId, Event, Subscription, SubscriptionId};
 use rand::rngs::SmallRng;
@@ -119,7 +119,6 @@ fn run_churn(broker: &SharedBroker, attr: AttrId, seed: u64, ops: usize) -> Vec<
 /// The racing publishers + churn stress for one engine × shard combination.
 fn stress_combo(kind: EngineKind, shards: usize) {
     let broker = SharedBroker::new(kind, shards);
-    assert_eq!(broker.publish_mode(), PublishMode::Rcu);
     let attr = broker.attr("stress");
     let pinned = Arc::new(pin_subscriptions(&broker, attr));
     let failures: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
@@ -329,40 +328,35 @@ fn differential_churn_matches_model_for_every_engine_and_shard_count() {
     }
 }
 
-/// The RCU and locked publish paths must agree on identical histories.
+/// The snapshot publish path must agree with a single-threaded [`Broker`]
+/// of the same engine on an identical history.
 #[test]
-fn rcu_and_locked_modes_agree() {
-    use pubsub_core::Backpressure;
-    let rcu = SharedBroker::new(EngineKind::Counting, 3);
-    let locked = SharedBroker::with_publish_mode(
-        EngineKind::Counting,
-        3,
-        Backpressure::Block,
-        PublishMode::Locked,
-    );
-    assert_eq!(locked.publish_mode(), PublishMode::Locked);
-    assert_eq!(locked.rcu_status().flips, 0, "locked mode never flips");
-    let attr_r = rcu.attr("m");
-    let attr_l = locked.attr("m");
+fn shared_broker_agrees_with_single_threaded_broker() {
+    let shared = SharedBroker::new(EngineKind::Counting, 3);
+    let mut reference = Broker::new(EngineKind::Counting).without_event_store();
+    let attr_s = shared.attr("m");
+    let attr_r = reference.attr("m");
     let mut rng = SmallRng::seed_from_u64(7);
     let mut ids: Vec<(SubscriptionId, SubscriptionId)> = Vec::new();
     for _ in 0..200 {
         if rng.gen_bool(0.7) || ids.is_empty() {
             let v = rng.gen_range(0i64..8);
             ids.push((
-                rcu.subscribe(sub(attr_r, v), Validity::forever()),
-                locked.subscribe(sub(attr_l, v), Validity::forever()),
+                shared.subscribe(sub(attr_s, v), Validity::forever()),
+                reference.subscribe(sub(attr_r, v), Validity::forever()),
             ));
         } else {
             let (a, b) = ids.swap_remove(rng.gen_range(0..ids.len()));
-            assert!(rcu.unsubscribe(a));
-            assert!(locked.unsubscribe(b));
+            assert!(shared.unsubscribe(a));
+            assert!(reference.unsubscribe(b));
         }
         let v = rng.gen_range(0i64..8);
+        let mut expected = reference.publish(&event(attr_r, v));
+        expected.sort_unstable();
         assert_eq!(
-            rcu.publish(&event(attr_r, v)),
-            locked.publish(&event(attr_l, v)),
-            "modes diverged (subscribe order is identical, so ids align)"
+            shared.publish(&event(attr_s, v)),
+            expected,
+            "diverged from the reference (subscribe order is identical, so ids align)"
         );
     }
 }

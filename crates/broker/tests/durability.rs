@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use pubsub_broker::{BrokerError, SharedBroker};
-use pubsub_core::{Backpressure, EngineKind, MatchEngine};
+use pubsub_core::{EngineKind, MatchEngine};
 use pubsub_durability::{
     CorruptionPolicy, DurabilityConfig, FsyncPolicy, WalOp, FAULT_APPEND, FAULT_FSYNC,
 };
@@ -203,9 +203,8 @@ fn check_recovery(dir: &Path, kind: EngineKind, shards: usize, surviving: &[WalO
     for op in surviving {
         model.apply(op);
     }
-    let (broker, _report) =
-        SharedBroker::open_durable_with(kind, shards, Backpressure::Block, dir, config())
-            .unwrap_or_else(|e| panic!("recovery failed ({} ops survive): {e}", surviving.len()));
+    let (broker, _report) = SharedBroker::open_durable_with(kind, shards, dir, config())
+        .unwrap_or_else(|e| panic!("recovery failed ({} ops survive): {e}", surviving.len()));
     assert!(!broker.is_degraded());
     assert_eq!(broker.now(), model.now, "clock after recovery");
     assert_eq!(
@@ -215,26 +214,16 @@ fn check_recovery(dir: &Path, kind: EngineKind, shards: usize, surviving: &[WalO
     );
 
     let mut got: Vec<(u32, Validity)> = Vec::new();
-    for shard in 0..broker.shard_count() {
-        broker.with_shard(shard, |b| {
-            got.extend(b.live_subscriptions().map(|(id, _, v)| (id.0, v)));
-        });
-    }
+    broker.for_each_live_subscription(|id, _, v| got.push((id.0, v)));
     got.sort_by_key(|(id, _)| *id);
     let want: Vec<(u32, Validity)> = model.live.iter().map(|(id, (_, v))| (*id, *v)).collect();
     assert_eq!(got, want, "live (id, validity) set after recovery");
 
     for id in &model.dead {
-        if model.live.contains_key(id) {
-            continue; // id re-subscribed later in the prefix (cannot happen: ids are never reused)
-        }
-        let shard = *id as usize % broker.shard_count();
-        broker.with_shard(shard, |b| {
-            assert!(
-                !b.contains(SubscriptionId(*id)),
-                "dead id {id} resurrected by recovery"
-            );
-        });
+        assert!(
+            model.live.contains_key(id) || got.iter().all(|(live, _)| live != id),
+            "dead id {id} resurrected by recovery"
+        );
     }
 
     let mut oracle = EngineKind::BruteForce.build();
@@ -256,8 +245,7 @@ fn check_recovery(dir: &Path, kind: EngineKind, shards: usize, surviving: &[WalO
 /// boundary, the header edges, and 64 deterministic intra-record offsets.
 fn run_kill_sweep(kind: EngineKind, shards: usize, cmds: &[Cmd]) {
     let dir = temp_dir(&format!("sweep-{}-{shards}", kind.label()));
-    let (broker, _) =
-        SharedBroker::open_durable_with(kind, shards, Backpressure::Block, &dir, config()).unwrap();
+    let (broker, _) = SharedBroker::open_durable_with(kind, shards, &dir, config()).unwrap();
     let mut driver = Driver::default();
     for cmd in cmds {
         driver.apply(&broker, cmd);
@@ -355,14 +343,8 @@ fn kill_at_any_byte_recovers_across_all_engines_and_shard_counts() {
 #[test]
 fn recovery_survives_shard_count_changes() {
     let dir = temp_dir("reshard");
-    let (broker, _) = SharedBroker::open_durable_with(
-        EngineKind::Dynamic,
-        2,
-        Backpressure::Block,
-        &dir,
-        config(),
-    )
-    .unwrap();
+    let (broker, _) =
+        SharedBroker::open_durable_with(EngineKind::Dynamic, 2, &dir, config()).unwrap();
     let mut driver = Driver::default();
     for cmd in scripted_cmds() {
         driver.apply(&broker, &cmd);
@@ -380,14 +362,8 @@ fn recovery_survives_shard_count_changes() {
 #[test]
 fn recovered_broker_never_reissues_dead_ids() {
     let dir = temp_dir("no-reissue");
-    let (broker, _) = SharedBroker::open_durable_with(
-        EngineKind::Counting,
-        2,
-        Backpressure::Block,
-        &dir,
-        config(),
-    )
-    .unwrap();
+    let (broker, _) =
+        SharedBroker::open_durable_with(EngineKind::Counting, 2, &dir, config()).unwrap();
     let sub = build_sub(1, 1, false);
     let expiring = broker
         .try_subscribe(sub.clone(), Validity::until(LogicalTime(1)))
@@ -402,14 +378,8 @@ fn recovered_broker_never_reissues_dead_ids() {
     broker.snapshot().unwrap();
     drop(broker);
 
-    let (broker, _) = SharedBroker::open_durable_with(
-        EngineKind::Counting,
-        2,
-        Backpressure::Block,
-        &dir,
-        config(),
-    )
-    .unwrap();
+    let (broker, _) =
+        SharedBroker::open_durable_with(EngineKind::Counting, 2, &dir, config()).unwrap();
     let mut reissued = Vec::new();
     for _ in 0..8 {
         reissued.push(
@@ -457,7 +427,7 @@ proptest! {
     ) {
         let dir = temp_dir(&format!("prop-{cut_seed}"));
         let (broker, _) = SharedBroker::open_durable_with(
-            kind, shards, Backpressure::Block, &dir, config(),
+            kind, shards, &dir, config(),
         ).unwrap();
         let mut driver = Driver::default();
         for cmd in &cmds {
@@ -502,14 +472,8 @@ fn append_failure_degrades_to_read_only() {
     }
     let dir = temp_dir("degrade-append");
     faults::clear();
-    let (broker, _) = SharedBroker::open_durable_with(
-        EngineKind::Dynamic,
-        2,
-        Backpressure::Block,
-        &dir,
-        config(),
-    )
-    .unwrap();
+    let (broker, _) =
+        SharedBroker::open_durable_with(EngineKind::Dynamic, 2, &dir, config()).unwrap();
     let sub = build_sub(2, 3, false);
     let id = broker
         .try_subscribe(sub.clone(), Validity::forever())
@@ -551,14 +515,8 @@ fn append_failure_degrades_to_read_only() {
 
     // Recovery heals: the torn append is truncated away and the state is
     // exactly the acknowledged prefix.
-    let (broker, report) = SharedBroker::open_durable_with(
-        EngineKind::Dynamic,
-        2,
-        Backpressure::Block,
-        &dir,
-        config(),
-    )
-    .unwrap();
+    let (broker, report) =
+        SharedBroker::open_durable_with(EngineKind::Dynamic, 2, &dir, config()).unwrap();
     assert!(
         report.torn_tail_truncated.is_some(),
         "torn record truncated"
@@ -584,9 +542,7 @@ fn fsync_failure_degrades_to_read_only() {
         fsync: FsyncPolicy::Always,
         ..config()
     };
-    let (broker, _) =
-        SharedBroker::open_durable_with(EngineKind::Counting, 1, Backpressure::Block, &dir, cfg)
-            .unwrap();
+    let (broker, _) = SharedBroker::open_durable_with(EngineKind::Counting, 1, &dir, cfg).unwrap();
     faults::arm(FAULT_FSYNC, None, FaultAction::Fail, Schedule::Nth(1));
     let err = broker
         .try_subscribe(build_sub(0, 0, false), Validity::forever())
@@ -607,14 +563,8 @@ fn snapshot_failure_is_not_fatal() {
     }
     let dir = temp_dir("snap-fail");
     faults::clear();
-    let (broker, _) = SharedBroker::open_durable_with(
-        EngineKind::Counting,
-        1,
-        Backpressure::Block,
-        &dir,
-        config(),
-    )
-    .unwrap();
+    let (broker, _) =
+        SharedBroker::open_durable_with(EngineKind::Counting, 1, &dir, config()).unwrap();
     broker
         .try_subscribe(build_sub(1, 2, false), Validity::forever())
         .unwrap();

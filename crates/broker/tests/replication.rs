@@ -15,7 +15,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use pubsub_broker::{BrokerError, SharedBroker};
-use pubsub_core::{Backpressure, EngineKind};
+use pubsub_core::EngineKind;
 use pubsub_durability::replication::{self, TailChunk};
 use pubsub_durability::{CorruptionPolicy, DurabilityConfig, FsyncPolicy, WalOp};
 use pubsub_types::time::{LogicalTime, Validity};
@@ -138,14 +138,8 @@ use pubsub_types::Subscription;
 #[test]
 fn kill_the_leader_sweep_matches_recovery_oracle_at_every_cut() {
     let leader_dir = temp_dir("sweep-leader");
-    let (leader, _) = SharedBroker::open_durable_with(
-        EngineKind::Dynamic,
-        2,
-        Backpressure::Block,
-        &leader_dir,
-        config(),
-    )
-    .unwrap();
+    let (leader, _) =
+        SharedBroker::open_durable_with(EngineKind::Dynamic, 2, &leader_dir, config()).unwrap();
     run_leader_workload(&leader);
     drop(leader);
 
@@ -187,14 +181,8 @@ fn kill_the_leader_sweep_matches_recovery_oracle_at_every_cut() {
         // The oracle: crash recovery over the same truncated log (already
         // pinned to equal the acked prefix by the durability sweep). Note
         // the differing shard counts — ids carry their own identity.
-        let (oracle, _) = SharedBroker::open_durable_with(
-            EngineKind::Counting,
-            3,
-            Backpressure::Block,
-            &src_dir,
-            config(),
-        )
-        .unwrap();
+        let (oracle, _) =
+            SharedBroker::open_durable_with(EngineKind::Counting, 3, &src_dir, config()).unwrap();
         assert_same_state(&follower, &oracle, &ctx);
 
         // Zero id resurrection: the first post-promotion id equals the
@@ -237,14 +225,8 @@ fn snapshot_catchup_bridges_compacted_history_and_streaming_resumes() {
         segment_bytes: 128, // force many small segments so compaction bites
         ..config()
     };
-    let (leader, _) = SharedBroker::open_durable_with(
-        EngineKind::Dynamic,
-        2,
-        Backpressure::Block,
-        &leader_dir,
-        config,
-    )
-    .unwrap();
+    let (leader, _) =
+        SharedBroker::open_durable_with(EngineKind::Dynamic, 2, &leader_dir, config).unwrap();
     run_leader_workload(&leader);
     // Snapshot + compact: the early segments vanish, so a follower starting
     // at LSN 0 can only catch up via the snapshot.
@@ -370,14 +352,8 @@ fn follower_refuses_local_mutations_until_promoted() {
 fn foreign_durable_history_is_refused_but_follower_dirs_reopen() {
     let dir = temp_dir("foreign");
     // A plain durable broker writes real history…
-    let (plain, _) = SharedBroker::open_durable_with(
-        EngineKind::Counting,
-        1,
-        Backpressure::Block,
-        &dir,
-        config(),
-    )
-    .unwrap();
+    let (plain, _) =
+        SharedBroker::open_durable_with(EngineKind::Counting, 1, &dir, config()).unwrap();
     let sub = Subscription::builder().eq(AttrId(0), 1i64).build().unwrap();
     plain.try_subscribe(sub, Validity::forever()).unwrap();
     drop(plain);

@@ -18,7 +18,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use pubsub_broker::{BrokerError, SharedBroker};
-use pubsub_core::{Backpressure, EngineKind};
+use pubsub_core::EngineKind;
 use pubsub_durability::{
     CorruptionPolicy, DurabilityConfig, FsyncPolicy, Wal, WalOp, FAULT_APPEND,
 };
@@ -43,7 +43,7 @@ fn config() -> DurabilityConfig {
 }
 
 fn open(dir: &PathBuf) -> SharedBroker {
-    SharedBroker::open_durable_with(EngineKind::Dynamic, 2, Backpressure::Block, dir, config())
+    SharedBroker::open_durable_with(EngineKind::Dynamic, 2, dir, config())
         .unwrap()
         .0
 }
@@ -227,14 +227,8 @@ fn snapshot_folds_the_session_table() {
         .unwrap();
     drop(broker);
 
-    let (broker, report) = SharedBroker::open_durable_with(
-        EngineKind::Dynamic,
-        2,
-        Backpressure::Block,
-        &dir,
-        config(),
-    )
-    .unwrap();
+    let (broker, report) =
+        SharedBroker::open_durable_with(EngineKind::Dynamic, 2, &dir, config()).unwrap();
     assert!(
         report.snapshot_lsn.is_some(),
         "recovery must start from the snapshot"

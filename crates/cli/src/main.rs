@@ -40,7 +40,7 @@
 //! Two subcommands run instead of the REPL (see DESIGN.md §13):
 //!
 //! * `pubsub serve [engine] --addr <host:port> [--shards N] [--backpressure
-//!   <policy>] [--publish-mode rcu|locked] [--queue-cap N] [--durable dir]
+//!   <policy>] [--queue-cap N] [--durable dir]
 //!   [--follow <leader:port>] [--session-ttl <secs>] [--idle-deadline
 //!   <secs>]` — the network-facing broker server. `--follow` (requires
 //!   `--durable` for the replica's local log) starts a read-only follower
@@ -53,9 +53,7 @@
 //!   [--events N] [--values N] [--seed S] [--json path] [--min-rps X]` —
 //!   the end-to-end load generator.
 
-use pubsub_broker::{
-    Broker, DnfId, DnfRegistry, DnfSubscription, PublishMode, SharedBroker, Validity,
-};
+use pubsub_broker::{Broker, DnfId, DnfRegistry, DnfSubscription, SharedBroker, Validity};
 use pubsub_core::{Backpressure, EngineKind, ShardedConfig};
 use pubsub_durability::{DurabilityConfig, Wal};
 use pubsub_lang::{parse_event, parse_subscription};
@@ -65,7 +63,7 @@ use std::io::{BufRead, Write};
 use std::path::PathBuf;
 
 /// The broker behind the REPL: a single-threaded engine, or a durable
-/// shard-locked handle writing a WAL. Boxed: a `Broker` embeds its whole
+/// shared handle writing a WAL. Boxed: a `Broker` embeds its whole
 /// engine while `SharedBroker` is an `Arc`, and one REPL holds exactly one
 /// backend, so the indirection costs nothing.
 enum Backend {
@@ -82,11 +80,11 @@ impl Cli {
     /// `shards == 0` runs the engine unsharded; `shards >= 1` runs it behind
     /// a supervised sharded worker pool with the default overload policy.
     #[cfg(test)]
-    fn with_shards(kind: EngineKind, shards: usize) -> Self {
+    fn volatile(kind: EngineKind, shards: usize) -> Self {
         Self::with_options(kind, shards, Backpressure::Block)
     }
 
-    /// Like [`Cli::with_shards`] with an explicit overload policy for the
+    /// Like [`Cli::volatile`] with an explicit overload policy for the
     /// sharded engine (ignored when `shards == 0`).
     fn with_options(kind: EngineKind, shards: usize, backpressure: Backpressure) -> Self {
         let broker = if shards == 0 {
@@ -109,17 +107,10 @@ impl Cli {
     fn durable(
         kind: EngineKind,
         shards: usize,
-        backpressure: Backpressure,
         dir: &std::path::Path,
     ) -> Result<(Self, pubsub_durability::RecoveryReport), String> {
-        let (broker, report) = SharedBroker::open_durable_with(
-            kind,
-            shards.max(1),
-            backpressure,
-            dir,
-            DurabilityConfig::default(),
-        )
-        .map_err(|e| e.to_string())?;
+        let (broker, report) =
+            SharedBroker::open_durable(kind, shards.max(1), dir).map_err(|e| e.to_string())?;
         Ok((
             Self {
                 backend: Backend::Durable(broker),
@@ -528,36 +519,9 @@ impl Cli {
     }
 
     fn stats_durable(shared: &SharedBroker, json: bool, metrics: bool) -> Result<String, String> {
-        // Aggregate the shard engines' counters into one view. Work done
-        // (checks, matches, nanos) sums across shards; every shard sees
-        // every published event, so the event count is the max, not the sum.
-        let mut s = pubsub_core::EngineStats::default();
-        let mut name = "";
-        for shard in 0..shared.shard_count() {
-            shared.with_shard(shard, |b| {
-                let e = b.engine_stats();
-                s.events = s.events.max(e.events);
-                s.phase1_nanos += e.phase1_nanos;
-                s.phase2_nanos += e.phase2_nanos;
-                s.subscriptions_checked += e.subscriptions_checked;
-                s.matches += e.matches;
-                name = b.engine_name();
-            });
-        }
-        // Under the RCU publish mode the shard engines see no read traffic
-        // (publishes match the published snapshot), so fold in the
-        // snapshot-side aggregate too. Zero in locked mode, and vice versa.
-        let r = shared.rcu_stats();
-        s.events = s.events.max(r.events);
-        s.phase1_nanos += r.phase1_nanos;
-        s.phase2_nanos += r.phase2_nanos;
-        s.subscriptions_checked += r.subscriptions_checked;
-        s.matches += r.matches;
+        let s = shared.rcu_stats();
+        let name = shared.engine_kind().label();
         let rcu = shared.rcu_status();
-        let mode = match rcu.mode {
-            PublishMode::Rcu => "rcu",
-            PublishMode::Locked => "locked",
-        };
         let d = shared.durability().expect("durable backend");
         let counts = shared.shard_subscription_counts();
         let fmt_opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
@@ -597,14 +561,13 @@ impl Cli {
             let list: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
             out.push_str(&format!(
                 ",\"phase1_nanos\":{},\"phase2_nanos\":{},\"rcu\":{{\"active_readers\":{},\
-                 \"epoch\":{},\"flips\":{},\"mode\":\"{}\",\"retired\":{}}},\
+                 \"epoch\":{},\"flips\":{},\"retired\":{}}},\
                  \"shards\":[{}],\"subscriptions\":{}}}",
                 s.phase1_nanos,
                 s.phase2_nanos,
                 rcu.active_readers,
                 rcu.epoch,
                 rcu.flips,
-                mode,
                 rcu.retired,
                 list.join(","),
                 shared.subscription_count(),
@@ -636,7 +599,7 @@ impl Cli {
             d.recovery.segments_scanned,
         );
         out.push_str(&format!(
-            "\nrcu: mode {mode}  flips {}  epoch {}  retired {}  active-readers {}",
+            "\nrcu: flips {}  epoch {}  retired {}  active-readers {}",
             rcu.flips, rcu.epoch, rcu.retired, rcu.active_readers,
         ));
         if let Some(cause) = &d.degraded_cause {
@@ -883,7 +846,6 @@ fn serve_main(args: impl Iterator<Item = String>) {
     let mut kind = EngineKind::Dynamic;
     let mut shards = pubsub_core::default_shards();
     let mut backpressure = Backpressure::Block;
-    let mut publish_mode = PublishMode::Rcu;
     let mut addr = String::from("127.0.0.1:7171");
     let mut queue_cap = 256usize;
     let mut durable_dir: Option<PathBuf> = None;
@@ -892,58 +854,23 @@ fn serve_main(args: impl Iterator<Item = String>) {
     let mut idle_deadline: Option<std::time::Duration> = None;
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| serve_usage_error(format!("`{arg}` needs a value")))
+        };
+        let secs = |v: String| {
+            std::time::Duration::from_secs_f64(v.parse().expect("seconds (fractional ok)"))
+        };
         match arg.as_str() {
-            "--addr" => addr = args.next().expect("--addr needs host:port"),
-            "--shards" => {
-                shards = args
-                    .next()
-                    .expect("--shards needs a value")
-                    .parse()
-                    .expect("integer shard count");
-            }
-            "--backpressure" => {
-                backpressure = args
-                    .next()
-                    .expect("--backpressure needs a value")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("{e}"));
-            }
-            "--publish-mode" => {
-                publish_mode = match args.next().expect("--publish-mode needs a value").as_str() {
-                    "rcu" => PublishMode::Rcu,
-                    "locked" => PublishMode::Locked,
-                    other => panic!("unknown publish mode `{other}` (rcu|locked)"),
-                };
-            }
-            "--queue-cap" => {
-                queue_cap = args
-                    .next()
-                    .expect("--queue-cap needs a value")
-                    .parse()
-                    .expect("integer queue capacity");
-            }
-            "--durable" => {
-                durable_dir = Some(PathBuf::from(args.next().expect("--durable needs a dir")));
-            }
-            "--follow" => {
-                follow = Some(args.next().expect("--follow needs the leader host:port"));
-            }
-            "--session-ttl" => {
-                let secs: f64 = args
-                    .next()
-                    .expect("--session-ttl needs seconds")
-                    .parse()
-                    .expect("seconds (fractional ok)");
-                session_ttl = Some(std::time::Duration::from_secs_f64(secs));
-            }
-            "--idle-deadline" => {
-                let secs: f64 = args
-                    .next()
-                    .expect("--idle-deadline needs seconds")
-                    .parse()
-                    .expect("seconds (fractional ok)");
-                idle_deadline = Some(std::time::Duration::from_secs_f64(secs));
-            }
+            "--addr" => addr = value(),
+            "--shards" => shards = value().parse().expect("integer shard count"),
+            "--backpressure" => backpressure = value().parse().unwrap_or_else(|e| panic!("{e}")),
+            "--queue-cap" => queue_cap = value().parse().expect("integer queue capacity"),
+            "--durable" => durable_dir = Some(PathBuf::from(value())),
+            "--follow" => follow = Some(value()),
+            "--session-ttl" => session_ttl = Some(secs(value())),
+            "--idle-deadline" => idle_deadline = Some(secs(value())),
+            flag if flag.starts_with("--") => serve_usage_error(format!("unknown flag `{flag}`")),
             other => kind = other.parse().unwrap_or_else(|e| panic!("{e}")),
         }
     }
@@ -962,14 +889,8 @@ fn serve_main(args: impl Iterator<Item = String>) {
             broker
         }
         (None, Some(dir)) => {
-            let (broker, report) = SharedBroker::open_durable_with(
-                kind,
-                shards.max(1),
-                backpressure,
-                dir,
-                DurabilityConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
+            let (broker, report) = SharedBroker::open_durable(kind, shards.max(1), dir)
+                .unwrap_or_else(|e| panic!("{e}"));
             println!(
                 "recovered {} op(s) from {}",
                 report.records_replayed,
@@ -977,17 +898,8 @@ fn serve_main(args: impl Iterator<Item = String>) {
             );
             broker
         }
-        (None, None) => {
-            SharedBroker::with_publish_mode(kind, shards.max(1), backpressure, publish_mode)
-        }
+        (None, None) => SharedBroker::new(kind, shards),
     };
-    if let Some(warning) = broker.config_warning() {
-        eprintln!("warning: {warning}");
-        eprintln!(
-            "warning: the network delivery queues still honor `{}`",
-            backpressure_label(backpressure)
-        );
-    }
     let config = pubsub_net::ServerConfig {
         queue_capacity: queue_cap,
         delivery: backpressure,
@@ -1056,6 +968,13 @@ fn serve_main(args: impl Iterator<Item = String>) {
         f.stop();
     }
     server.shutdown();
+}
+
+/// Reports a `pubsub serve` command-line error on one stderr line and exits
+/// with status 2.
+fn serve_usage_error(msg: String) -> ! {
+    eprintln!("pubsub serve: {msg}");
+    std::process::exit(2)
 }
 
 fn backpressure_label(bp: Backpressure) -> &'static str {
@@ -1156,16 +1075,7 @@ fn main() {
     let interactive = std::env::var_os("PUBSUB_NO_PROMPT").is_none();
     let mut cli = match &durable_dir {
         Some(dir) => {
-            let (cli, report) =
-                Cli::durable(kind, shards, backpressure, dir).unwrap_or_else(|e| panic!("{e}"));
-            // `Shed`/`ErrorFast` never fire under the RCU publish mode the
-            // durable handle defaults to; say so instead of silently
-            // accepting a policy that cannot act.
-            if let Backend::Durable(broker) = &cli.backend {
-                if let Some(warning) = broker.config_warning() {
-                    eprintln!("warning: {warning}");
-                }
-            }
+            let (cli, report) = Cli::durable(kind, shards, dir).unwrap_or_else(|e| panic!("{e}"));
             if interactive {
                 println!(
                     "fastpubsub durable broker ({}, {}). Recovered {} op(s){}. Type `help`.",
@@ -1235,14 +1145,14 @@ mod tests {
     }
 
     fn durable_cli(dir: &std::path::Path) -> Cli {
-        Cli::durable(EngineKind::Dynamic, 2, Backpressure::Block, dir)
+        Cli::durable(EngineKind::Dynamic, 2, dir)
             .expect("open durable")
             .0
     }
 
     #[test]
     fn subscribe_publish_flow() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 0);
+        let mut cli = Cli::volatile(EngineKind::Dynamic, 0);
         let r = run(&mut cli, "sub movie = 'up' AND price <= 10");
         assert_eq!(r, "subscribed s0");
         let r = run(&mut cli, "pub {movie: 'up', price: 8}");
@@ -1257,7 +1167,7 @@ mod tests {
 
     #[test]
     fn batched_publish_flow() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 0);
+        let mut cli = Cli::volatile(EngineKind::Dynamic, 0);
         assert_eq!(run(&mut cli, "sub price <= 10"), "subscribed s0");
         assert_eq!(
             run(&mut cli, "sub from = 'NYC' OR from = 'EWR'"),
@@ -1288,7 +1198,7 @@ mod tests {
 
     #[test]
     fn dnf_flow() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 0);
+        let mut cli = Cli::volatile(EngineKind::Dynamic, 0);
         let r = run(&mut cli, "sub from = 'NYC' OR from = 'EWR'");
         assert_eq!(r, "subscribed d0 (2 disjuncts)");
         let r = run(&mut cli, "pub {from: 'EWR'}");
@@ -1301,7 +1211,7 @@ mod tests {
 
     #[test]
     fn errors_are_reported_not_fatal() {
-        let mut cli = Cli::with_shards(EngineKind::Counting, 0);
+        let mut cli = Cli::volatile(EngineKind::Counting, 0);
         assert!(run(&mut cli, "sub price <").starts_with("error:"));
         assert!(run(&mut cli, "pub {broken").starts_with("error:"));
         assert!(run(&mut cli, "unsub s99").starts_with("error:"));
@@ -1312,7 +1222,7 @@ mod tests {
 
     #[test]
     fn tick_and_stats() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 0);
+        let mut cli = Cli::volatile(EngineKind::Dynamic, 0);
         run(&mut cli, "sub a = 1");
         run(&mut cli, "pub {a: 1}");
         let r = run(&mut cli, "tick 3");
@@ -1326,7 +1236,7 @@ mod tests {
 
     #[test]
     fn sharded_stats_report_per_shard_counts() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 3);
+        let mut cli = Cli::volatile(EngineKind::Dynamic, 3);
         for i in 0..9 {
             run(&mut cli, &format!("sub a = {i}"));
         }
@@ -1341,7 +1251,7 @@ mod tests {
 
     #[test]
     fn stats_json_and_metrics_flags() {
-        let mut cli = Cli::with_shards(EngineKind::Counting, 0);
+        let mut cli = Cli::volatile(EngineKind::Counting, 0);
         run(&mut cli, "sub a = 1");
         run(&mut cli, "pub {a: 1}");
         let r = run(&mut cli, "stats --json");
@@ -1374,13 +1284,13 @@ mod tests {
         assert!(r.find("\"phase2_nanos\"").unwrap() < robustness, "{r}");
         assert!(robustness < r.find("\"shards\"").unwrap(), "{r}");
         // Unsharded brokers have no robustness section.
-        let mut plain = Cli::with_shards(EngineKind::Counting, 0);
+        let mut plain = Cli::volatile(EngineKind::Counting, 0);
         assert!(!run(&mut plain, "stats --json").contains("robustness"));
     }
 
     #[test]
     fn chaos_command_status_arm_clear() {
-        let mut cli = Cli::with_shards(EngineKind::Counting, 2);
+        let mut cli = Cli::volatile(EngineKind::Counting, 2);
         let r = run(&mut cli, "chaos");
         assert!(r.contains("fault injection"), "{r}");
         assert_eq!(run(&mut cli, "chaos clear"), "cleared all fault rules");
@@ -1426,7 +1336,7 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_ignored() {
-        let mut cli = Cli::with_shards(EngineKind::Dynamic, 0);
+        let mut cli = Cli::volatile(EngineKind::Dynamic, 0);
         assert_eq!(run(&mut cli, "# a comment"), "");
         assert_eq!(run(&mut cli, "   "), "");
         assert!(cli.execute("quit").is_none());
@@ -1482,11 +1392,11 @@ mod tests {
         assert!(r.contains("degraded no  role leader"), "{r}");
         assert!(r.contains("recovery: replayed 0"), "{r}");
         // The durable backend publishes through the RCU snapshot: the
-        // matching work must show up in the aggregate even though the shard
-        // engines saw no reads, and the rcu block must be reported.
+        // matching work must show up in the aggregate, and the rcu block
+        // must be reported.
         assert!(r.contains("events 1"), "{r}");
         assert!(r.contains("matches 1"), "{r}");
-        assert!(r.contains("rcu: mode rcu  flips"), "{r}");
+        assert!(r.contains("rcu: flips"), "{r}");
         let r = run(&mut cli, "stats --json");
         assert!(r.starts_with("{\"checks\":"), "{r}");
         assert!(r.contains("\"durability\":{\"degraded\":false"), "{r}");
@@ -1497,7 +1407,6 @@ mod tests {
         assert!(r.contains("\"recovery\":{\"bytes_abandoned\":0"), "{r}");
         assert!(r.contains("\"events\":1"), "{r}");
         assert!(r.contains("\"rcu\":{\"active_readers\":0"), "{r}");
-        assert!(r.contains("\"mode\":\"rcu\""), "{r}");
         assert!(r.contains("\"retired\":0"), "{r}");
         assert!(r.ends_with("\"subscriptions\":1}"), "{r}");
         // Key order stays ascending around the durability and rcu blocks.
@@ -1596,7 +1505,7 @@ mod tests {
         );
         drop(cli);
         // Offline compact over the closed directory works.
-        let mut offline = Cli::with_shards(EngineKind::Counting, 0);
+        let mut offline = Cli::volatile(EngineKind::Counting, 0);
         let r = run(&mut offline, &own);
         assert!(r.starts_with("compacted"), "{r}");
         assert!(

@@ -315,14 +315,9 @@ fn follower_converges_through_injected_accept_and_stream_failures() {
         corruption: CorruptionPolicy::Fail,
         snapshot_every_ops: 0,
     };
-    let (leader, _) = SharedBroker::open_durable_with(
-        EngineKind::Counting,
-        2,
-        Backpressure::Block,
-        base.join("leader"),
-        config,
-    )
-    .expect("open leader");
+    let (leader, _) =
+        SharedBroker::open_durable_with(EngineKind::Counting, 2, base.join("leader"), config)
+            .expect("open leader");
     let leader = Arc::new(leader);
     let server = Server::start_with(
         Arc::clone(&leader),

@@ -4,7 +4,7 @@
 //! and failover promotion with subscription ids preserved.
 
 use pubsub_broker::{BrokerError, SharedBroker, Validity};
-use pubsub_core::{Backpressure, EngineKind};
+use pubsub_core::EngineKind;
 use pubsub_durability::{CorruptionPolicy, DurabilityConfig, FsyncPolicy};
 use pubsub_net::{
     Client, Follower, FollowerConfig, Server, ServerConfig, WirePredicate, WireValue,
@@ -85,14 +85,9 @@ fn wait_caught_up(follower: &Follower) {
 }
 
 fn durable_leader(dir: &PathBuf, segment_bytes: u64) -> (Arc<SharedBroker>, Server) {
-    let (broker, _) = SharedBroker::open_durable_with(
-        EngineKind::Counting,
-        2,
-        Backpressure::Block,
-        dir,
-        wal_config(segment_bytes),
-    )
-    .unwrap();
+    let (broker, _) =
+        SharedBroker::open_durable_with(EngineKind::Counting, 2, dir, wal_config(segment_bytes))
+            .unwrap();
     let broker = Arc::new(broker);
     let server = Server::start_with(Arc::clone(&broker), "127.0.0.1:0", server_config()).unwrap();
     (broker, server)

@@ -19,7 +19,7 @@
 //! Set `FP_SWEEP_STRIDE=n` to run every n-th cut (CI knob; default 1).
 
 use pubsub_broker::{SharedBroker, Validity};
-use pubsub_core::{Backpressure, EngineKind};
+use pubsub_core::EngineKind;
 use pubsub_durability::{CorruptionPolicy, DurabilityConfig, FsyncPolicy};
 use pubsub_net::{
     Ack, Client, Follower, FollowerConfig, Frame, FrameReader, Server, ServerConfig, WireEvent,
@@ -245,8 +245,7 @@ fn eid_of(event: &WireEvent) -> i64 {
 }
 
 fn open_durable(kind: EngineKind, dir: &PathBuf) -> Arc<SharedBroker> {
-    let (broker, _) =
-        SharedBroker::open_durable_with(kind, 2, Backpressure::Block, dir, wal_config()).unwrap();
+    let (broker, _) = SharedBroker::open_durable_with(kind, 2, dir, wal_config()).unwrap();
     Arc::new(broker)
 }
 

@@ -29,8 +29,8 @@
 #   --contention   lock-free publish lane: the RCU stress/differential
 #                  suite with the test-thread count unpinned (so racing
 #                  publishers really race the churn threads), a
-#                  publish_scaling bench smoke (locked vs rcu × 1/2/4/8
-#                  publishers, one iteration), and — when a nightly
+#                  publish_scaling bench smoke (1/2/4/8 publishers, one
+#                  iteration), and — when a nightly
 #                  toolchain with ThreadSanitizer happens to be installed —
 #                  a TSan pass over the stress suite. The TSan step skips
 #                  gracefully when nightly or the rust-src component is

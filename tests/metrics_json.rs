@@ -23,10 +23,6 @@ fn golden_snapshot() -> MetricsSnapshot {
                 value: 42,
             },
             CounterEntry {
-                name: "broker.shared.shed_shards".into(),
-                value: 1,
-            },
-            CounterEntry {
                 name: "broker.shared.snapshot_flips".into(),
                 value: 5,
             },

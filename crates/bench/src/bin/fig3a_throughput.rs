@@ -1,6 +1,5 @@
 //! Figure 3(a): event matching throughput vs. number of subscriptions,
-//! workload W0, for all five engines — plus the sharding dimension this
-//! reproduction adds on top of the paper.
+//! workload W0, for all five engines.
 //!
 //! The paper's headline numbers at 6,000,000 subscriptions on a 500 MHz
 //! Pentium III: counting 1.1 ev/s, propagation 124 ev/s, propagation-wp
@@ -11,12 +10,11 @@
 //! predicates (phase 1) vs. time to compute matching subscriptions
 //! (phase 2).
 //!
-//! With `--shards N` every engine runs behind a `ShardedMatcher` with `N`
-//! worker threads and events are submitted in batches of `--batch` (the
-//! batched pipeline is what amortises the fan-out cost; see DESIGN.md §3).
+//! With `--batch N` (N > 1) events are submitted `N` at a time through
+//! `match_batch_into` instead of one by one.
 //! With `--json` each data point is emitted as one JSON object (fields:
-//! `figure, workload, engine, subs, shards, batch, events_per_sec,
-//! phase1_ms, phase2_ms`) instead of the text table. When the workspace is
+//! `figure, workload, engine, subs, batch, events_per_sec, phase1_ms,
+//! phase2_ms`) instead of the text table. When the workspace is
 //! built with `--features metrics`, each data point is followed by a
 //! `metrics_snapshot` JSON line carrying the global `MetricsSnapshot`
 //! accumulated during that measurement (metrics are reset between points).
@@ -29,15 +27,16 @@
 //!
 //! With `--publishers 1,2,4,8` the harness instead runs the contention
 //! experiment: the same loaded subscription set published concurrently from
-//! N threads through a `SharedBroker`'s epoch-protected snapshots. `--json`
-//! rows carry `figure: "contention", publishers, events_per_sec`.
+//! N threads through a `SharedBroker`'s epoch-protected snapshots, striped
+//! `--shards N` ways. `--json` rows carry `figure: "contention", shards,
+//! publishers, events_per_sec`.
 //!
 //! Usage: `cargo run --release -p pubsub-bench --bin fig3a_throughput --
 //!         [--subs 100000,...] [--events N] [--engines a,b] [--phases]
-//!         [--shards N] [--batch N] [--json] [--publishers 1,2,4,8]`
+//!         [--batch N] [--json] [--publishers 1,2,4,8 [--shards N]]`
 
 use pubsub_bench::{
-    load_engine_sharded, load_shared_broker, measure_batched_throughput, measure_publish_scaling,
+    load_engine, load_shared_broker, measure_batched_throughput, measure_publish_scaling,
     measure_throughput, parse_args, HarnessArgs, SeriesReport,
 };
 use pubsub_types::metrics::{self, MetricsSnapshot};
@@ -98,13 +97,13 @@ fn main() {
         return;
     }
     let series: Vec<String> = args.engines.iter().map(|e| e.label().to_string()).collect();
-    let title = if args.shards == 0 {
+    let batched = args.batch > 1;
+    let title = if !batched {
         "Figure 3(a): throughput (events/s) vs subscriptions, workload W0".to_string()
     } else {
         format!(
-            "Figure 3(a) sharded: throughput (events/s) vs subscriptions, W0, \
-             {} shards, batch {}",
-            args.shards, args.batch
+            "Figure 3(a): throughput (events/s) vs subscriptions, workload W0, batch {}",
+            args.batch
         )
     };
     let mut report = SeriesReport::new(title, "subs", series.clone());
@@ -123,13 +122,13 @@ fn main() {
                 args.events
             };
             let mut gen = WorkloadGen::new(presets::w0(n));
-            let (mut engine, _) = load_engine_sharded(kind, args.shards, &mut gen, n);
+            let (mut engine, _) = load_engine(kind, &mut gen, n);
             // Warm-up: one small batch, then reset counters.
             measure_throughput(engine.as_mut(), &mut gen, 20);
             engine.reset_stats();
             // Scope the metrics snapshot to this data point.
             metrics::reset_all();
-            let (eps, _) = if args.shards == 0 {
+            let (eps, _) = if !batched {
                 measure_throughput(engine.as_mut(), &mut gen, events)
             } else {
                 measure_batched_throughput(engine.as_mut(), &mut gen, events, args.batch)
@@ -142,12 +141,11 @@ fn main() {
             if args.json {
                 println!(
                     "{{\"figure\": \"3a\", \"workload\": \"w0\", \"engine\": \"{}\", \
-                     \"subs\": {n}, \"shards\": {}, \"batch\": {}, \
+                     \"subs\": {n}, \"batch\": {}, \
                      \"events_per_sec\": {eps:.1}, \"phase1_ms\": {phase1_ms:.4}, \
                      \"phase2_ms\": {phase2_ms:.4}}}",
                     kind.label(),
-                    args.shards,
-                    if args.shards == 0 { 1 } else { args.batch },
+                    args.batch.max(1),
                 );
                 if metrics::enabled() {
                     println!(
@@ -159,11 +157,7 @@ fn main() {
                 }
                 // Phase-1 batch amortization probe: same workload, same
                 // warmed engine, per-event vs. batched submission.
-                let amort_batch = if args.shards == 0 {
-                    64
-                } else {
-                    args.batch.max(1)
-                };
+                let amort_batch = if batched { args.batch } else { 64 };
                 engine.reset_stats();
                 measure_throughput(engine.as_mut(), &mut gen, events);
                 let s1 = engine.stats();
@@ -182,11 +176,7 @@ fn main() {
                     scalar_ns / batched_ns.max(f64::MIN_POSITIVE),
                 );
             }
-            eprintln!(
-                "  [{} @ {n} subs, {} shards] {eps:.1} events/s",
-                kind.label(),
-                args.shards
-            );
+            eprintln!("  [{} @ {n} subs] {eps:.1} events/s", kind.label());
         }
         report.push_row(n.to_string(), row);
         phase_report.push_row(n.to_string(), phase_row);

@@ -1,7 +1,7 @@
 //! Harness plumbing: argument parsing, engine loading, series reporting.
 
 use pubsub_broker::{SharedBroker, Validity};
-use pubsub_core::{EngineKind, MatchEngine, ShardedMatcher};
+use pubsub_core::{EngineKind, MatchEngine};
 use pubsub_types::{Event, SubscriptionId};
 use pubsub_workload::WorkloadGen;
 use std::time::{Duration, Instant};
@@ -25,10 +25,11 @@ pub struct HarnessArgs {
     pub tick_ms: u64,
     /// Print per-phase timing split (`--phases`).
     pub phases: bool,
-    /// Shard count for the sharded engine layer (`--shards N`); 0 runs the
-    /// engines unsharded.
+    /// `SharedBroker` stripe count for the contention sweep (`--shards N`,
+    /// clamped to at least 1).
     pub shards: usize,
-    /// Events per publish batch for batched measurements (`--batch N`).
+    /// Events per `match_batch_into` call (`--batch N`); 1 (the default)
+    /// matches event by event.
     pub batch: usize,
     /// Emit one JSON object per data point instead of the text table
     /// (`--json`).
@@ -48,7 +49,7 @@ impl Default for HarnessArgs {
             tick_ms: 25,
             phases: false,
             shards: 0,
-            batch: 64,
+            batch: 1,
             json: false,
             publishers: Vec::new(),
         }
@@ -112,31 +113,7 @@ pub fn load_engine(
     gen: &mut WorkloadGen,
     n_subs: usize,
 ) -> (Box<dyn MatchEngine + Send>, Duration) {
-    load_built_engine(kind.build(), gen, n_subs)
-}
-
-/// [`load_engine`] behind a shard dimension: `shards == 0` builds the plain
-/// engine, `shards >= 1` wraps it in a [`ShardedMatcher`] with that many
-/// worker threads (so `--shards 1` measures pure channel overhead).
-pub fn load_engine_sharded(
-    kind: EngineKind,
-    shards: usize,
-    gen: &mut WorkloadGen,
-    n_subs: usize,
-) -> (Box<dyn MatchEngine + Send>, Duration) {
-    let engine: Box<dyn MatchEngine + Send> = if shards == 0 {
-        kind.build()
-    } else {
-        Box::new(ShardedMatcher::new(kind, shards))
-    };
-    load_built_engine(engine, gen, n_subs)
-}
-
-fn load_built_engine(
-    mut engine: Box<dyn MatchEngine + Send>,
-    gen: &mut WorkloadGen,
-    n_subs: usize,
-) -> (Box<dyn MatchEngine + Send>, Duration) {
+    let mut engine = kind.build();
     let start = Instant::now();
     for i in 0..n_subs {
         let sub = gen.subscription();

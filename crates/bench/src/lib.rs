@@ -15,6 +15,6 @@ pub mod phase1;
 
 pub use alloc::CountingAllocator;
 pub use harness::{
-    fmt_bytes, load_engine, load_engine_sharded, load_shared_broker, measure_batched_throughput,
+    fmt_bytes, load_engine, load_shared_broker, measure_batched_throughput,
     measure_publish_scaling, measure_throughput, parse_args, HarnessArgs, SeriesReport,
 };

@@ -61,26 +61,6 @@ impl Broker {
         Self::with_engine(kind.build())
     }
 
-    /// Creates a broker whose engine is a [`pubsub_core::ShardedMatcher`]:
-    /// `shards` worker threads, each running a complete engine of kind
-    /// `inner`. With `shards == 1` this is the single engine plus channel
-    /// overhead; use [`Broker::new`] instead unless measuring that overhead.
-    pub fn new_sharded(inner: EngineKind, shards: usize) -> Self {
-        Self::with_engine(Box::new(pubsub_core::ShardedMatcher::new(inner, shards)))
-    }
-
-    /// Like [`Broker::new_sharded`] with an explicit supervision/backpressure
-    /// configuration for the sharded engine.
-    pub fn new_sharded_with(
-        inner: EngineKind,
-        shards: usize,
-        config: pubsub_core::ShardedConfig,
-    ) -> Self {
-        Self::with_engine(Box::new(pubsub_core::ShardedMatcher::with_config(
-            inner, shards, config,
-        )))
-    }
-
     /// Creates a broker around a caller-built engine.
     pub fn with_engine(engine: Box<dyn MatchEngine + Send>) -> Self {
         Self {
@@ -245,9 +225,8 @@ impl Broker {
     }
 
     /// Publishes a batch (`n_Eb` of Table 1); returns one notification per
-    /// event. Routed through [`MatchEngine::match_batch_into`], so a sharded
-    /// engine pipelines the whole batch through its worker pool in one
-    /// fan-out.
+    /// event. Routed through [`MatchEngine::match_batch_into`], so the
+    /// engine amortises phase 1 across the batch.
     pub fn publish_batch(&mut self, events: &[Event]) -> Vec<Notification> {
         PUBLISHES.add(events.len() as u64);
         let mut matched = Vec::new();
@@ -293,18 +272,6 @@ impl Broker {
     /// The engine's name.
     pub fn engine_name(&self) -> &'static str {
         self.engine.name()
-    }
-
-    /// Per-shard subscription counts when the engine is sharded, else
-    /// `None`.
-    pub fn shard_subscription_counts(&self) -> Option<Vec<usize>> {
-        self.engine.shard_subscription_counts()
-    }
-
-    /// Robustness counters when the engine has supervised shard workers,
-    /// else `None`.
-    pub fn shard_health(&self) -> Option<pubsub_core::ShardHealth> {
-        self.engine.shard_health()
     }
 
     /// Convenience: builds an event from `(attr, value)` pairs.

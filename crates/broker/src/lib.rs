@@ -7,6 +7,7 @@
 //! ([`shared`]), DNF subscriptions ([`dnf`]) and the equilibrium churn
 //! simulator of §6.2.2 ([`equilibrium`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -33,9 +33,9 @@
 //! * Attribute/string interning lives in one shared [`Vocabulary`] so ids
 //!   mean the same thing on every stripe.
 //!
-//! This handle is the broker-level twin of the engine-level
-//! [`pubsub_core::ShardedMatcher`]: use `ShardedMatcher` to parallelise one
-//! broker's matching; use `SharedBroker` when many threads drive the broker.
+//! The stripes are the tree's one way to partition subscriptions: a single
+//! [`crate::Broker`] is one engine on one thread, and `SharedBroker` is what
+//! many threads drive.
 
 use crate::durable::{BrokerError, DurabilityStatus};
 use crate::rcu::{BrokerSnapshot, RcuStatus, ShardSnap};

@@ -69,20 +69,16 @@ pub trait MatchEngine {
     /// (no duplicates).
     ///
     /// # Ordering
-    /// Single-threaded engines append in an engine-specific (but
-    /// deterministic) order. [`crate::sharded::ShardedMatcher`] is the
-    /// exception with a stronger contract: it sorts the merged result by
-    /// [`SubscriptionId`] at the merge point, so its output is identical for
-    /// every shard count. Callers that need a canonical order across engine
-    /// kinds must sort; callers using the sharded engine get it for free.
+    /// Engines append in an engine-specific (but deterministic) order.
+    /// Callers that need a canonical order across engine kinds must sort.
     fn match_event(&mut self, event: &Event, out: &mut Vec<SubscriptionId>);
 
     /// Matches a batch of events, filling `out` with one result vector per
     /// event (parallel to `events`; existing inner vectors are reused).
     ///
     /// The default implementation loops over [`MatchEngine::match_event`];
-    /// engines with cross-event amortisation opportunities (e.g. the sharded
-    /// engine's fan-out/wakeup cost) override it.
+    /// engines with cross-event amortisation opportunities (the
+    /// attribute-major batched phase 1) override it.
     fn match_batch_into(&mut self, events: &[Event], out: &mut Vec<Vec<SubscriptionId>>) {
         out.resize_with(events.len(), Vec::new);
         out.truncate(events.len());
@@ -128,19 +124,6 @@ pub trait MatchEngine {
 
     /// Approximate heap bytes held by the engine's data structures.
     fn heap_bytes(&self) -> usize;
-
-    /// Per-shard subscription counts, for engines that partition their
-    /// subscription set. `None` for unsharded engines.
-    fn shard_subscription_counts(&self) -> Option<Vec<usize>> {
-        None
-    }
-
-    /// Robustness counters, for engines with supervised fallible workers
-    /// ([`crate::sharded::ShardedMatcher`]). `None` for engines that run in
-    /// the caller's thread and cannot partially fail.
-    fn shard_health(&self) -> Option<crate::sharded::ShardHealth> {
-        None
-    }
 }
 
 impl<T: MatchEngine + ?Sized> MatchEngine for Box<T> {
@@ -176,12 +159,6 @@ impl<T: MatchEngine + ?Sized> MatchEngine for Box<T> {
     }
     fn heap_bytes(&self) -> usize {
         (**self).heap_bytes()
-    }
-    fn shard_subscription_counts(&self) -> Option<Vec<usize>> {
-        (**self).shard_subscription_counts()
-    }
-    fn shard_health(&self) -> Option<crate::sharded::ShardHealth> {
-        (**self).shard_health()
     }
 }
 
@@ -257,6 +234,14 @@ impl std::str::FromStr for EngineKind {
             other => return Err(format!("unknown engine kind: {other}")),
         })
     }
+}
+
+/// Default partition count for a broker that stripes its subscriptions
+/// (`pubsub_broker::SharedBroker`): one per available hardware thread.
+pub fn default_shards() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 #[cfg(test)]

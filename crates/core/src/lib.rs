@@ -12,9 +12,6 @@
 //!   the cost-based greedy optimizer (static, §3) or maintained online
 //!   (dynamic, §4).
 //! * [`brute::BruteForceMatcher`] — the linear-scan oracle used in tests.
-//! * [`sharded::ShardedMatcher`] — a parallel layer partitioning the
-//!   subscription set across `N` worker threads, each running a complete
-//!   engine of any of the kinds above.
 //!
 //! All implement [`MatchEngine`]; [`EngineKind`] builds them by name.
 //!
@@ -34,7 +31,6 @@ pub mod engine;
 pub mod prefetch;
 pub mod propagation;
 pub mod rcu;
-pub mod sharded;
 pub mod tables;
 pub mod view;
 
@@ -42,12 +38,8 @@ pub use brute::BruteForceMatcher;
 pub use cluster::{Cluster, ClusterList, LOOKAHEAD, MAX_PREFETCH_COLS, UNFOLD};
 pub use clustered::{ClusteredMatcher, DynamicConfig};
 pub use counting::CountingMatcher;
-pub use engine::{EngineKind, EngineStats, MatchEngine};
+pub use engine::{default_shards, EngineKind, EngineStats, MatchEngine};
 pub use propagation::PropagationMatcher;
 pub use rcu::{RcuCell, RcuGuard};
-pub use sharded::{
-    default_shards, Backpressure, MatchReport, QuarantinedEvent, ShardHealth, ShardedConfig,
-    ShardedMatcher, FAULT_SPAWN, FAULT_WORKER_MATCH, FAULT_WORKER_OP,
-};
 pub use tables::MultiAttrTable;
 pub use view::{build_frozen, MatchView, SnapshotEngine, ViewScratch};

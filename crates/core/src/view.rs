@@ -111,9 +111,6 @@ impl<T: MatchEngine + MatchView + Send + Sync> SnapshotEngine for T {}
 /// Builds a fresh engine of `kind` for use behind an RCU snapshot.
 ///
 /// Same construction as [`EngineKind::build`] but typed for shared reads.
-/// The sharded engine is deliberately absent: its fan-out/join worker
-/// round-trip is superseded by callers matching directly against the shared
-/// view from their own threads.
 pub fn build_frozen(kind: EngineKind) -> Box<dyn SnapshotEngine> {
     match kind {
         EngineKind::Counting => Box::new(crate::counting::CountingMatcher::new()),

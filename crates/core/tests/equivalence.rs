@@ -4,7 +4,7 @@
 //! property of the whole system.
 
 use proptest::prelude::*;
-use pubsub_core::{ClusteredMatcher, DynamicConfig, EngineKind, MatchEngine, ShardedMatcher};
+use pubsub_core::{ClusteredMatcher, DynamicConfig, EngineKind, MatchEngine};
 use pubsub_types::{AttrId, Event, Operator, Predicate, Subscription, SubscriptionId, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -356,122 +356,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_batched_matches_oracle(
-        ops in arb_ops(),
-        batch in prop::sample::select(vec![1usize, 7, 64]),
-    ) {
-        check_engine_batched(Box::new(ShardedMatcher::new(EngineKind::Dynamic, 3)), &ops, batch)?;
-    }
-
-    // The sharded layer must be exact for every shard count: shards
-    // partition the subscriptions and each shard engine is exact, so the
-    // merged result is the oracle's set. Inner kinds vary to spread
-    // coverage across engines.
-
-    #[test]
-    fn sharded_1_matches_oracle(ops in arb_ops()) {
-        check_engine(Box::new(ShardedMatcher::new(EngineKind::Dynamic, 1)), &ops)?;
-    }
-
-    #[test]
-    fn sharded_2_matches_oracle(ops in arb_ops()) {
-        check_engine(Box::new(ShardedMatcher::new(EngineKind::Counting, 2)), &ops)?;
-    }
-
-    #[test]
-    fn sharded_3_matches_oracle(ops in arb_ops()) {
-        check_engine(Box::new(ShardedMatcher::new(EngineKind::Dynamic, 3)), &ops)?;
-    }
-
-    #[test]
-    fn sharded_7_matches_oracle(ops in arb_ops()) {
-        check_engine(Box::new(ShardedMatcher::new(EngineKind::Propagation, 7)), &ops)?;
-    }
-
-    #[test]
-    fn sharded_output_is_shard_count_invariant(ops in arb_ops()) {
-        // Determinism contract (see `MatchEngine::match_event`): the merge
-        // sorts by id, so two different shard counts produce byte-identical
-        // outputs with no caller-side normalisation.
-        let mut a = ShardedMatcher::new(EngineKind::Dynamic, 2);
-        let mut b = ShardedMatcher::new(EngineKind::Dynamic, 7);
-        let mut live: Vec<SubscriptionId> = Vec::new();
-        let mut next_id = 0u32;
-        for op in &ops {
-            match op {
-                Op::Insert(sub) => {
-                    let id = SubscriptionId(next_id);
-                    next_id += 1;
-                    a.insert(id, sub);
-                    b.insert(id, sub);
-                    live.push(id);
-                }
-                Op::RemoveNth(n) => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let id = live.swap_remove(n.index(live.len()));
-                    a.remove(id);
-                    b.remove(id);
-                }
-                Op::Match(event) => {
-                    let mut got_a = Vec::new();
-                    let mut got_b = Vec::new();
-                    a.match_event(event, &mut got_a);
-                    b.match_event(event, &mut got_b);
-                    prop_assert_eq!(&got_a, &got_b, "shard counts 2 vs 7 diverge");
-                    prop_assert!(got_a.windows(2).all(|w| w[0] < w[1]), "output sorted");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_recovers_mid_stream_and_stays_equivalent(ops in arb_ops()) {
-        // Crash a shard in the middle of a random op stream (unknown-id
-        // removes panic the shard engine) and keep going: the supervised
-        // rebuild must restore exact equivalence for the rest of the
-        // stream. Split the ops in half and inject the crash between them.
-        let mut engine = ShardedMatcher::new(EngineKind::Counting, 2);
-        let mut oracle = EngineKind::BruteForce.build();
-        let mut live: Vec<SubscriptionId> = Vec::new();
-        let mut next_id = 0u32;
-        let half = ops.len() / 2;
-        for (i, op) in ops.iter().enumerate() {
-            if i == half {
-                engine.remove(SubscriptionId(1_000_000));
-                engine.remove(SubscriptionId(1_000_001));
-            }
-            match op {
-                Op::Insert(sub) => {
-                    let id = SubscriptionId(next_id);
-                    next_id += 1;
-                    engine.insert(id, sub);
-                    oracle.insert(id, sub);
-                    live.push(id);
-                }
-                Op::RemoveNth(n) => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let id = live.swap_remove(n.index(live.len()));
-                    engine.remove(id);
-                    oracle.remove(id);
-                }
-                Op::Match(event) => {
-                    let mut got = Vec::new();
-                    let mut want = Vec::new();
-                    engine.match_event(event, &mut got);
-                    oracle.match_event(event, &mut want);
-                    want.sort();
-                    prop_assert_eq!(&got, &want, "post-crash divergence on {:?}", event);
-                }
-            }
-            prop_assert_eq!(engine.len(), oracle.len());
-        }
-    }
-
-    #[test]
     fn static_finalize_preserves_semantics(
         subs in prop::collection::vec(arb_subscription(), 1..40),
         events in prop::collection::vec(arb_event(), 1..10),
@@ -499,40 +383,4 @@ proptest! {
             prop_assert_eq!(got, want);
         }
     }
-}
-
-/// Regression: a subscription removed before a shard crash (the broker's
-/// explicit unsubscribe and validity expiry both reduce to
-/// `MatchEngine::remove`) must not be resurrected when the crashed shard is
-/// rebuilt from its authoritative log.
-#[test]
-fn removed_ids_are_not_resurrected_by_shard_rebuild() {
-    let mut m = ShardedMatcher::new(EngineKind::Dynamic, 3);
-    let sub =
-        Subscription::from_predicates(vec![Predicate::new(AttrId(0), Operator::Eq, Value::Int(1))])
-            .unwrap();
-    for i in 0..30 {
-        m.insert(SubscriptionId(i), &sub);
-    }
-    let expired = [0u32, 7, 13, 29];
-    for i in expired {
-        m.remove(SubscriptionId(i));
-    }
-    // Crash the shards (unknown-id removes panic the shard engines); the
-    // supervisor rebuilds each crashed shard by replaying its log, which by
-    // then no longer contains the expired ids.
-    for i in 1000..1010u32 {
-        m.remove(SubscriptionId(i));
-    }
-    let event = Event::from_pairs(vec![(AttrId(0), Value::Int(1))]).unwrap();
-    let mut out = Vec::new();
-    m.match_event(&event, &mut out);
-    let want: Vec<SubscriptionId> = (0..30)
-        .filter(|i| !expired.contains(i))
-        .map(SubscriptionId)
-        .collect();
-    assert_eq!(out, want, "expired ids must stay gone after the rebuild");
-    let health = m.shard_health().unwrap();
-    assert!(health.shard_rebuilds >= 1, "the crash forced a rebuild");
-    assert_eq!(m.len(), 26);
 }

@@ -8,6 +8,7 @@
 //! * [`greedy`] — the benefit-per-unit-space greedy algorithm computing a
 //!   locally optimal hashing-configuration schema and clustering instance.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

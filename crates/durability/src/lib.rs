@@ -32,6 +32,7 @@
 //! [`FAULT_READ`], [`FAULT_SNAPSHOT`] — so tests can force torn writes,
 //! short reads, bit flips, and fsync/rotation failures deterministically.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

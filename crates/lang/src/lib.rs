@@ -21,6 +21,7 @@
 //! the caller's [`pubsub_types::Vocabulary`], so parsed objects plug straight
 //! into the matcher.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -28,6 +28,7 @@
 //! # let _ = (id, token);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
@@ -44,6 +45,6 @@ pub use frame::{
     MAX_FRAME_BYTES, NEW_SESSION, PROTOCOL_VERSION,
 };
 pub use load::{LoadConfig, LoadReport};
-pub use queue::{OutQueue, PushError};
+pub use queue::{Backpressure, OutQueue, PushError};
 pub use replication::{Follower, FollowerConfig, ReplStatus};
 pub use server::{Server, ServerConfig, ServerStatus};

@@ -20,6 +20,44 @@ pub enum PushError {
     Closed,
 }
 
+/// What the server does with a notification when the subscriber's
+/// [`OutQueue`] is full (acks and errors always wait for space).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Backpressure {
+    /// The publisher waits for space ([`OutQueue::push_blocking`]):
+    /// lossless, but a slow subscriber stalls publishers targeting it.
+    #[default]
+    Block,
+    /// Drop the notification and consume its sequence number, so the
+    /// subscriber sees a gap where deliveries were shed.
+    Shed,
+    /// Disconnect the slow subscriber; its session survives and can resume.
+    ErrorFast,
+}
+
+impl std::fmt::Display for Backpressure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Backpressure::Block => "block",
+            Backpressure::Shed => "shed",
+            Backpressure::ErrorFast => "error-fast",
+        })
+    }
+}
+
+impl std::str::FromStr for Backpressure {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Ok(match s {
+            "block" => Backpressure::Block,
+            "shed" => Backpressure::Shed,
+            "error-fast" | "error_fast" | "errorfast" => Backpressure::ErrorFast,
+            other => return Err(format!("unknown backpressure policy: {other}")),
+        })
+    }
+}
+
 struct Inner<T> {
     buf: VecDeque<T>,
     closed: bool,
@@ -140,6 +178,19 @@ mod tests {
         q.try_push(3).unwrap();
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
+    }
+
+    #[test]
+    fn backpressure_parses_and_displays() {
+        for p in [
+            Backpressure::Block,
+            Backpressure::Shed,
+            Backpressure::ErrorFast,
+        ] {
+            let parsed: Backpressure = p.to_string().parse().unwrap();
+            assert_eq!(parsed, p);
+        }
+        assert!("nonsense".parse::<Backpressure>().is_err());
     }
 
     #[test]

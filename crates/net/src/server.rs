@@ -62,10 +62,9 @@
 //! §14 for the full replication state machine.
 
 use crate::frame::{Ack, ErrorCode, Frame, FrameReader, WireEvent, WirePredicate, WireValue};
-use crate::queue::{OutQueue, PushError};
+use crate::queue::{Backpressure, OutQueue, PushError};
 use parking_lot::Mutex;
 use pubsub_broker::{BrokerError, SharedBroker, Validity};
-use pubsub_core::Backpressure;
 use pubsub_durability::{replication, TailChunk};
 use pubsub_types::faults::{self, points, FaultAction};
 use pubsub_types::metrics::Counter;

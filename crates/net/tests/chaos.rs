@@ -11,8 +11,10 @@
 //! armed rules from firing inside the other network suites.
 
 use pubsub_broker::SharedBroker;
-use pubsub_core::{Backpressure, EngineKind};
-use pubsub_net::{Client, ClientError, Server, ServerConfig, WireEvent, WirePredicate, WireValue};
+use pubsub_core::EngineKind;
+use pubsub_net::{
+    Backpressure, Client, ClientError, Server, ServerConfig, WireEvent, WirePredicate, WireValue,
+};
 use pubsub_types::faults::{self, points, FaultAction, Schedule};
 use pubsub_types::Operator;
 use std::sync::{Arc, Mutex};

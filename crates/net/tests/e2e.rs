@@ -6,8 +6,8 @@
 //! sequence numbers, since the `Block` policy is lossless).
 
 use pubsub_broker::{SharedBroker, Validity};
-use pubsub_core::{Backpressure, EngineKind};
-use pubsub_net::{Client, Server, ServerConfig, WireEvent, WirePredicate, WireValue};
+use pubsub_core::EngineKind;
+use pubsub_net::{Backpressure, Client, Server, ServerConfig, WireEvent, WirePredicate, WireValue};
 use pubsub_types::{Operator, Predicate, Subscription};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

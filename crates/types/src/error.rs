@@ -80,49 +80,6 @@ impl From<TypeError> for CodecError {
     }
 }
 
-/// Errors surfaced by a sharded engine or broker instead of panicking the
-/// caller: shard workers are supervised, fallible components, and the publish
-/// path reports their state through this type rather than unwinding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardError {
-    /// The shard's bounded request queue is full and the backpressure policy
-    /// is `ErrorFast`: the caller should back off and retry.
-    Overloaded {
-        /// Index of the overloaded shard.
-        shard: usize,
-    },
-    /// The shard worker could not be rebuilt (respawn or log replay failed
-    /// repeatedly); it is out of service until the next recovery attempt.
-    Sealed {
-        /// Index of the sealed shard.
-        shard: usize,
-    },
-}
-
-impl ShardError {
-    /// Index of the shard the error refers to.
-    pub fn shard(&self) -> usize {
-        match self {
-            ShardError::Overloaded { shard } | ShardError::Sealed { shard } => *shard,
-        }
-    }
-}
-
-impl std::fmt::Display for ShardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardError::Overloaded { shard } => {
-                write!(f, "shard {shard} request queue is full (backpressure)")
-            }
-            ShardError::Sealed { shard } => {
-                write!(f, "shard {shard} is sealed pending recovery")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +91,5 @@ mod tests {
             .contains("a3"));
         assert!(!TypeError::EmptySubscription.to_string().is_empty());
         assert!(!TypeError::DuplicatePredicate.to_string().is_empty());
-    }
-
-    #[test]
-    fn shard_errors_carry_their_shard() {
-        let e = ShardError::Overloaded { shard: 3 };
-        assert_eq!(e.shard(), 3);
-        assert!(e.to_string().contains("shard 3"));
-        let e = ShardError::Sealed { shard: 7 };
-        assert_eq!(e.shard(), 7);
-        assert!(e.to_string().contains("sealed"));
     }
 }

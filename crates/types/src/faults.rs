@@ -1,17 +1,16 @@
 //! Deterministic fault injection, feature-gated like [`crate::metrics`].
 //!
-//! Production-scale brokers treat matcher workers as fallible components:
-//! threads die, allocators fail, a bad event tickles a latent bug. The
-//! supervised sharded engine (`pubsub_core::sharded`) recovers from such
-//! faults by rebuilding crashed shards from an authoritative subscription
-//! log — and this module exists to *prove* that recovery works, by letting
-//! tests and the CLI `chaos` command force faults at exact, reproducible
-//! points.
+//! Production-scale brokers treat their I/O as fallible: a WAL append or
+//! fsync fails, a connection dies mid-frame, a replication stream is cut.
+//! The durable broker degrades to read-only, the server drops the one
+//! connection, the follower reconnects — and this module exists to *prove*
+//! that recovery works, by letting tests and the CLI `chaos` command force
+//! faults at exact, reproducible points.
 //!
 //! # Model
 //!
 //! Code under test declares **fault points** — named call sites (e.g.
-//! `core.sharded.worker.match`) that consult the registry via [`hit`] before
+//! `durability.wal.append`) that consult the registry via [`hit`] before
 //! doing their work. Tests **arm** rules against those points: a rule pairs a
 //! [`FaultAction`] (panic, corrupt-then-panic, delay) with a [`Schedule`]
 //! (fire at the n-th hit, every n-th hit, or pseudo-randomly from a seed).
@@ -206,10 +205,9 @@ pub use imp::{arm, armed, clear, enabled, hit};
 
 /// Well-known fault-point names of the network server (`pubsub-net`).
 ///
-/// The older subsystems (sharded matcher, durability) declare their points
-/// as string literals at the call site; the network layer centralises its
-/// names here so the server, the chaos tests and the CLI `chaos` help text
-/// cannot drift apart. The `lane` passed to [`hit`] at every network point
+/// The durability layer names its points in its own crate (`FAULT_APPEND`
+/// and friends); the network layer centralises its names here so the
+/// server, the chaos tests and the CLI `chaos` help text cannot drift apart. The `lane` passed to [`hit`] at every network point
 /// is the server-assigned connection index, so rules can target one
 /// connection out of many.
 pub mod points {

@@ -40,7 +40,7 @@ pub mod value;
 
 pub use attr::{AttrId, AttributeInterner};
 pub use attrset::AttrSet;
-pub use error::{CodecError, ShardError, TypeError};
+pub use error::{CodecError, TypeError};
 pub use event::{Event, EventBuilder};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interner::{StringInterner, Symbol};

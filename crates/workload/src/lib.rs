@@ -9,6 +9,7 @@
 //! workspace's fixture-pinned tests; [`json`] is the workspace's JSON
 //! reader for `--json` tool output.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

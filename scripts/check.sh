@@ -17,10 +17,10 @@
 #                  cross-engine differential proptest with a bounded case
 #                  count.
 #   --chaos        fault-injection lane: build and test the workspace with
-#                  --features faults,metrics (arming the deterministic fault
-#                  registry inside the supervised sharded engine) and smoke
-#                  the chaos recovery proptest. The runtime-gated tests in
-#                  crates/core/tests/chaos.rs only exercise injection here.
+#                  --features faults,metrics, which compiles the
+#                  deterministic fault registry in. The runtime-gated chaos
+#                  tests (durability, net, replication fault points) only
+#                  exercise injection here.
 #   --durability   crash-recovery lane: build and test with --features
 #                  faults,metrics so the WAL's fault points (append/fsync/
 #                  snapshot failures -> degraded read-only mode) actually
@@ -145,9 +145,6 @@ if [[ "$CHAOS" == 1 ]]; then
     cargo build ${OFFLINE} --workspace --features faults,metrics
     echo "==> cargo test (--features faults,metrics)"
     cargo test ${OFFLINE} --workspace --features faults,metrics
-    echo "==> chaos recovery proptest smoke (PROPTEST_CASES=8)"
-    PROPTEST_CASES=8 cargo test ${OFFLINE} -p pubsub-core --features pubsub-types/faults \
-        --test chaos random_fault_schedules_recover_to_exact_equivalence
 fi
 
 if [[ "$DURABILITY" == 1 ]]; then

@@ -47,6 +47,8 @@
 //! assert_eq!(matched, vec![id]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use pubsub_broker as broker;
 pub use pubsub_core as core;
 pub use pubsub_cost as cost;

@@ -51,7 +51,7 @@ mod enabled {
         metrics::reset_all();
         scripted_run(EngineKind::Counting, 8, 40);
         let snap = MetricsSnapshot::capture();
-        // Every published event runs phase 1 exactly once (unsharded engine,
+        // Every published event runs phase 1 exactly once (one engine,
         // no event store), and nothing else in this process publishes.
         assert_eq!(snap.counter("broker.publishes"), Some(40));
         assert_eq!(snap.counter("index.phase1.snapshot_evals"), Some(40));

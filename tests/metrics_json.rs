@@ -31,11 +31,11 @@ fn golden_snapshot() -> MetricsSnapshot {
                 value: 7,
             },
             CounterEntry {
-                name: "core.sharded.quarantined_events".into(),
+                name: "core.propagation.fallback_scans".into(),
                 value: 1,
             },
             CounterEntry {
-                name: "core.sharded.shard_rebuilds".into(),
+                name: "core.propagation.matched".into(),
                 value: 3,
             },
             CounterEntry {
@@ -103,22 +103,16 @@ fn golden_snapshot() -> MetricsSnapshot {
                 buckets: vec![(0, 1), (11, 2), (12, 1)],
             },
             HistogramEntry {
-                name: "core.sharded.batch_size".into(),
-                count: 5,
-                sum: 320,
-                buckets: vec![(7, 5)],
-            },
-            HistogramEntry {
                 name: "index.phase1.batch_size".into(),
                 count: 6,
                 sum: 96,
                 buckets: vec![(1, 2), (5, 4)],
             },
             HistogramEntry {
-                name: "core.sharded.queue_depth".into(),
-                count: 9,
-                sum: 25,
-                buckets: vec![(0, 2), (2, 5), (3, 2)],
+                name: "core.phase2_nanos".into(),
+                count: 5,
+                sum: 320,
+                buckets: vec![(7, 5)],
             },
             HistogramEntry {
                 name: "rcu.readers_active".into(),

@@ -6,18 +6,18 @@
 //! expiry, clock) next to the [`ShardSnap`] published from it. All stripes
 //! live inside one writer mutex.
 //!
-//! **Publishes take no locks at all**: every mutation publishes an immutable
-//! [`crate::rcu::BrokerSnapshot`] through an epoch-protected
-//! [`pubsub_core::RcuCell`], and publishers pin the current snapshot, match
-//! it with per-thread scratch ([`pubsub_core::MatchView`]) and unpin — zero
-//! contention between concurrent publishers, and between publishers and
-//! mutators. Mutators serialize on the writer mutex, apply the change to
-//! the owning stripe's table, layer it as a delta/tombstone on that
-//! stripe's frozen base engine (merging the delta back once it outgrows a
-//! threshold), and flip the snapshot pointer; old snapshots are reclaimed
-//! once every reader epoch has passed. The frozen bases are the only
-//! engines this handle owns — a subscription is indexed once. See
-//! DESIGN.md §12 for the full protocol.
+//! **Publishes take no locks at all**: every mutation that changes a stripe
+//! publishes an immutable [`crate::rcu::BrokerSnapshot`] through an
+//! epoch-protected [`pubsub_core::RcuCell`], and publishers pin the current
+//! snapshot, match it with per-thread scratch ([`pubsub_core::MatchView`])
+//! and unpin — zero contention between concurrent publishers, and between
+//! publishers and mutators. Mutators serialize on the writer mutex, apply
+//! the change to the owning stripe's table, record it in that stripe's
+//! snapshot state (an L0 entry or a tombstone on a frozen tier; tiers merge
+//! geometrically, see [`crate::rcu`]), and flip the snapshot pointer if some
+//! stripe changed; old snapshots are reclaimed once every reader epoch has
+//! passed. The frozen tiers are the only engines this handle owns — a
+//! subscription is indexed once. See DESIGN.md §12 for the full protocol.
 //!
 //! Lock order, stated once: `writer < vocab < sessions < wal`. Every
 //! multi-lock path acquires in that order.
@@ -27,7 +27,7 @@
 //! * A publish observes one immutable snapshot — it never sees a torn cut
 //!   of a concurrent mutation. Mutations become visible in their
 //!   serialization order, one flip each; a clock advance expires every
-//!   stripe in a single flip.
+//!   stripe in a single flip (none when nothing expires).
 //! * Each stripe's engine keeps stripe-local optimizer statistics (the
 //!   dynamic algorithm clusters each partition independently).
 //! * Attribute/string interning lives in one shared [`Vocabulary`] so ids
@@ -59,13 +59,13 @@ use std::sync::Arc;
 static SNAPSHOT_FLIPS: Counter = Counter::new("broker.shared.snapshot_flips");
 
 /// Per-thread scratch for the publish paths: the [`ViewScratch`] the read
-/// path matches with, plus recycled per-shard result buffers for the
-/// batch paths. Thread-local (not a shared pool), so concurrent publishers
-/// never serialize on scratch acquisition.
+/// path matches with, plus recycled per-tier result buffers for the batch
+/// path. Thread-local (not a shared pool), so concurrent publishers never
+/// serialize on scratch acquisition.
 #[derive(Default)]
 struct PublishScratch {
     view: ViewScratch,
-    shard_results: Vec<Vec<SubscriptionId>>,
+    tier_results: Vec<Vec<SubscriptionId>>,
 }
 
 thread_local! {
@@ -73,7 +73,7 @@ thread_local! {
 }
 
 /// Relaxed aggregate of the per-thread [`ViewScratch`] engine stats folded
-/// in after each publish: the frozen bases are matched through shared
+/// in after each publish: the frozen tiers are matched through shared
 /// references, so per-event counts and phase timings live here.
 #[derive(Default)]
 struct RcuStatsAgg {
@@ -302,9 +302,8 @@ struct Stripe {
 
 impl Stripe {
     /// Wraps `table`, freezing its live set as the stripe's first base.
-    fn freeze(table: SubTable, kind: EngineKind) -> Self {
-        let mut snap = ShardSnap::empty(kind);
-        snap.rebuild_from(&table);
+    fn new(table: SubTable, kind: EngineKind) -> Self {
+        let snap = ShardSnap::frozen(kind, &table);
         Stripe { table, snap }
     }
 
@@ -319,10 +318,11 @@ impl Stripe {
     /// assigned.
     fn restore_one(&mut self, id: SubscriptionId, sub: Subscription, validity: Validity) {
         let sub = Arc::new(sub);
-        if self.table.restore_one(id, Arc::clone(&sub), validity) {
+        if self.table.restore_one(id, Arc::clone(&sub), validity) || !self.snap.is_unfrozen(id) {
             // A duplicate id (damaged log, skip policy) replaced a record
-            // the snapshot may hold in its base or its delta: re-freeze.
-            self.snap.rebuild_from(&self.table);
+            // the snapshot may hold, or an out-of-order id fell inside a
+            // frozen tier's range: re-freeze.
+            self.snap.freeze(&self.table);
         } else {
             self.snap.note_insert(id, sub, &self.table);
         }
@@ -369,7 +369,7 @@ struct Inner {
     /// [`SharedBroker::apply_replicated`]. Cleared by
     /// [`SharedBroker::promote`].
     follower: AtomicBool,
-    /// Engine kind of the frozen bases.
+    /// Engine kind of the frozen tiers.
     kind: EngineKind,
     /// Stripe count (fixed at construction; readable without the lock).
     stripes: usize,
@@ -549,7 +549,7 @@ impl SharedBroker {
     ) -> Self {
         let stripes: Vec<Stripe> = tables
             .into_iter()
-            .map(|table| Stripe::freeze(table, kind))
+            .map(|table| Stripe::new(table, kind))
             .collect();
         Self {
             inner: Arc::new(Inner {
@@ -673,7 +673,7 @@ impl SharedBroker {
         self.inner.stripes
     }
 
-    /// The engine kind of the frozen bases.
+    /// The engine kind of the frozen tiers.
     pub fn engine_kind(&self) -> EngineKind {
         self.inner.kind
     }
@@ -706,13 +706,25 @@ impl SharedBroker {
     }
 
     /// Point-in-time view of the RCU machinery: flips, epoch, deferred
-    /// reclamation and pinned readers.
+    /// reclamation, pinned readers, and the published tier shape.
     pub fn rcu_status(&self) -> RcuStatus {
+        let (tiers, l0, built) = {
+            let snap = self.inner.published.pin();
+            snap.shards
+                .iter()
+                .map(ShardSnap::shape)
+                .fold((0, 0, 0), |(t, l, b), (st, sl, sb)| {
+                    (t + st, l + sl, b + sb)
+                })
+        };
         RcuStatus {
             flips: self.inner.flips.load(Ordering::Relaxed),
             epoch: self.inner.published.epoch(),
             retired: self.inner.published.retired_len(),
             active_readers: self.inner.published.active_readers(),
+            tiers,
+            l0,
+            built,
         }
     }
 
@@ -722,15 +734,17 @@ impl SharedBroker {
         self.inner.rcu_stats.load()
     }
 
-    /// Merges every shard's pending delta/tombstones into fresh frozen
-    /// bases and drains reclaimable snapshot garbage. Publishes stay
-    /// lock-free throughout. Useful before latency measurements (a merged
-    /// snapshot has no brute-forced delta) and in quiet periods.
+    /// Rebuilds every stripe that holds more than one frozen tier, an L0
+    /// entry or a tombstone as a single base engine, and drains reclaimable
+    /// snapshot garbage. Publishes stay lock-free throughout. A compacted
+    /// stripe runs one engine per event instead of one per tier, so this
+    /// is useful before latency measurements and in quiet periods; the
+    /// tiers keep publishes fast without it.
     pub fn compact(&self) {
         let mut stripes = self.inner.writer.lock();
         let mut changed = false;
-        for stripe in stripes.iter_mut().filter(|s| s.snap.has_pending()) {
-            stripe.snap.rebuild_from(&stripe.table);
+        for stripe in stripes.iter_mut().filter(|s| !s.snap.is_compact()) {
+            stripe.snap.freeze(&stripe.table);
             changed = true;
         }
         if changed {
@@ -1150,7 +1164,7 @@ impl SharedBroker {
     /// Batched publish into a caller-owned buffer (one inner vector per
     /// event, reused across calls). One snapshot pin covers the whole
     /// batch, so every event in it matches against the same consistent cut.
-    /// Per-shard scratch buffers are thread-local, so concurrent batch
+    /// Per-tier scratch buffers are thread-local, so concurrent batch
     /// publishers never serialize on scratch acquisition and the steady
     /// state allocates nothing.
     pub fn publish_batch_into(&self, events: &[Event], out: &mut Vec<Vec<SubscriptionId>>) {
@@ -1167,10 +1181,7 @@ impl SharedBroker {
         PUBLISH_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             for shard in &snap.shards {
-                shard.match_batch_into(events, &mut scratch.view, &mut scratch.shard_results);
-                for (dst, src) in out.iter_mut().zip(&scratch.shard_results) {
-                    dst.extend_from_slice(src);
-                }
+                shard.match_batch_into(events, &mut scratch.view, &mut scratch.tier_results, out);
             }
             // Count each published event once, not once per shard view.
             scratch.view.stats.events = events.len() as u64;
@@ -1245,9 +1256,12 @@ impl SharedBroker {
             }
         }
         // All stripes' expiries land in the single flip below, so publishers
-        // observe the clock advance atomically.
+        // observe the clock advance atomically. The snapshot holds no clock:
+        // an advance that expires nothing leaves it as it is.
         let expired = stripes.iter_mut().map(|stripe| stripe.advance_to(t)).sum();
-        self.flip(&stripes);
+        if expired > 0 {
+            self.flip(&stripes);
+        }
         if let Some(durable) = &self.inner.durable {
             let vocab = self.inner.vocab.lock();
             let sessions = self.inner.sessions.lock();
@@ -1362,8 +1376,8 @@ impl SharedBroker {
     /// Applies a batch of replicated record payloads: each is decoded,
     /// appended to the local WAL (write-ahead, exactly like a local
     /// mutation), applied in memory, and the whole batch becomes visible to
-    /// publishers in **one** RCU snapshot flip. Returns the LSN the next
-    /// batch must start at.
+    /// publishers in **one** RCU snapshot flip (none when no stripe
+    /// changed). Returns the LSN the next batch must start at.
     ///
     /// The batch must start exactly at the local log's append position:
     /// anything else means the stream and the replica have diverged
@@ -1393,6 +1407,9 @@ impl SharedBroker {
             });
         }
         let n = stripes.len();
+        // Whether any stripe changed: intern and session records alone
+        // leave the published snapshot as it is.
+        let mut changed = false;
         for (i, payload) in payloads.iter().enumerate() {
             let lsn = first_lsn + i as u64;
             let op = WalOp::decode(payload).map_err(|e| {
@@ -1417,14 +1434,15 @@ impl SharedBroker {
                 }
                 WalOp::Subscribe { id, sub, validity } => {
                     stripes[id.0 as usize % n].restore_one(id, sub, validity);
+                    changed = true;
                 }
                 WalOp::Unsubscribe(id) => {
-                    stripes[id.0 as usize % n].remove(id);
+                    changed |= stripes[id.0 as usize % n].remove(id);
                 }
                 WalOp::AdvanceTo(t) => {
                     for stripe in stripes.iter_mut() {
                         if t >= stripe.table.now() {
-                            stripe.advance_to(t);
+                            changed |= stripe.advance_to(t) > 0;
                         }
                     }
                 }
@@ -1435,14 +1453,14 @@ impl SharedBroker {
                     // One record, many removals — re-derived here exactly as
                     // at local replay.
                     for raw in sessions.reap(token) {
-                        stripes[raw as usize % n].remove(SubscriptionId(raw));
+                        changed |= stripes[raw as usize % n].remove(SubscriptionId(raw));
                     }
                 }
             }
         }
         let next = wal.next_lsn();
         drop(wal);
-        if !payloads.is_empty() {
+        if changed {
             self.flip(&stripes);
         }
         Ok(next)
@@ -1469,13 +1487,13 @@ impl SharedBroker {
         replication::install_snapshot(&dir, lsn, bytes).map_err(BrokerError::Replication)?;
         let (new_wal, recovered) = Wal::open(&dir, config).map_err(BrokerError::Recovery)?;
         *wal = new_wal;
-        let kind = self.inner.kind;
         let (new_vocab, tables, new_sessions) =
             rebuild_state(stripes.len(), recovered.snapshot, recovered.ops);
         *vocab = new_vocab;
         *sessions = new_sessions;
         for (stripe, table) in stripes.iter_mut().zip(tables) {
-            *stripe = Stripe::freeze(table, kind);
+            stripe.table = table;
+            stripe.snap.freeze(&stripe.table);
         }
         drop(wal);
         self.flip(&stripes);
@@ -1677,5 +1695,109 @@ mod tests {
         assert_eq!(broker.subscription_count(), kept);
         let counts = broker.shard_subscription_counts();
         assert_eq!(counts.iter().sum::<usize>(), kept);
+    }
+
+    /// Loads one brute-force stripe (its builds are cheap) to `N` and to
+    /// `8·N` subscriptions: the tier count stays logarithmic, L0 stays
+    /// small, each subscription is fed to a bounded number of engine
+    /// builds, and that number grows by little when the stripe grows 8×.
+    #[test]
+    fn tiers_stay_logarithmic_and_rebuild_work_stays_bounded() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const N: usize = 8192;
+        // ⌈log8(n/32)⌉ + 1, in integers.
+        let tier_bound = |n: usize| (0..).find(|&k| 32 * 8usize.pow(k) >= n).unwrap() as usize + 1;
+        let broker = SharedBroker::new(EngineKind::BruteForce, 1);
+        let attr = broker.attr("t");
+        let mut ids = Vec::new();
+        let mut load = |to: usize| {
+            while ids.len() < to {
+                let v = ids.len() as i64 % 64;
+                let sub = Subscription::builder().eq(attr, v).build().unwrap();
+                ids.push(broker.subscribe(sub, Validity::forever()));
+            }
+            broker.rcu_status()
+        };
+        let at_n = load(N);
+        let at_8n = load(8 * N);
+        for (n, status) in [(N, at_n), (8 * N, at_8n)] {
+            assert!(status.l0 <= 32, "{n}: {status:?}");
+            assert!(status.tiers <= tier_bound(n), "{n}: {status:?}");
+        }
+        let work_n = at_n.built as f64 / N as f64;
+        let work_8n = at_8n.built as f64 / (8 * N) as f64;
+        assert!(work_n <= 15.0, "{work_n} builds per subscription at {N}");
+        assert!(
+            work_8n <= 1.5 * work_n,
+            "{work_8n} builds per subscription at 8·{N}, {work_n} at {N}"
+        );
+
+        let mut rng = SmallRng::seed_from_u64(0x7135);
+        ids.retain(|&id| !(rng.gen_bool(0.1) && broker.unsubscribe(id)));
+        for (len, dead) in broker.inner.writer.lock()[0].snap.tier_sizes() {
+            assert!(dead * 8 <= len, "{dead} tombstones in a tier of {len}");
+        }
+        // One stripe assigns ids 0, 1, 2, … in load order.
+        let event = Event::builder().pair(attr, 5i64).build().unwrap();
+        let expected: Vec<SubscriptionId> =
+            ids.iter().copied().filter(|id| id.0 % 64 == 5).collect();
+        assert_eq!(broker.publish(&event), expected);
+
+        broker.compact();
+        let status = broker.rcu_status();
+        assert_eq!((status.tiers, status.l0), (1, 0), "{status:?}");
+        assert_eq!(broker.publish(&event), expected);
+    }
+
+    /// The snapshot holds no clock, so a tick that expires nothing
+    /// publishes nothing; one that expires a subscription flips once.
+    #[test]
+    fn only_ticks_that_expire_flip_the_snapshot() {
+        let broker = SharedBroker::new(EngineKind::Counting, 2);
+        let attr = broker.attr("c");
+        let sub = |v: i64| Subscription::builder().eq(attr, v).build().unwrap();
+        broker.subscribe(sub(1), Validity::until(LogicalTime(2)));
+        broker.subscribe(sub(2), Validity::forever());
+        let flips = broker.rcu_status().flips;
+        assert_eq!(broker.tick(), 0);
+        assert_eq!(broker.rcu_status().flips, flips, "nothing expired");
+        assert_eq!(broker.tick(), 1);
+        assert_eq!(broker.rcu_status().flips, flips + 1, "one expiry, one flip");
+        assert_eq!(broker.now(), LogicalTime(2));
+    }
+
+    /// A replicated batch of intern and session records changes no stripe,
+    /// so a follower publishes no new snapshot for it.
+    #[test]
+    fn replicated_batches_that_change_no_stripe_do_not_flip() {
+        let dir = std::env::temp_dir().join(format!("fp-shared-noflip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (follower, _) =
+            SharedBroker::open_follower(EngineKind::Counting, 2, &dir, DurabilityConfig::default())
+                .unwrap();
+        let encode = |op: WalOp| {
+            let mut bytes = Vec::new();
+            op.encode(&mut bytes);
+            bytes
+        };
+        let flips = follower.rcu_status().flips;
+        let quiet = [
+            encode(WalOp::InternAttr("q".into())),
+            encode(WalOp::SessionCreate { token: 1 }),
+        ];
+        let start = follower.durability().unwrap().next_lsn;
+        let next = follower.apply_replicated(start, &quiet).unwrap();
+        assert_eq!(follower.rcu_status().flips, flips);
+        let sub = Subscription::builder().eq(AttrId(0), 1i64).build().unwrap();
+        let subscribe = encode(WalOp::Subscribe {
+            id: SubscriptionId(0),
+            sub,
+            validity: Validity::forever(),
+        });
+        follower.apply_replicated(next, &[subscribe]).unwrap();
+        assert_eq!(follower.rcu_status().flips, flips + 1);
+        drop(follower);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

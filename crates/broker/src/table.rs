@@ -5,7 +5,7 @@
 //! [`crate::broker::Broker`] composes one table with a live engine;
 //! [`crate::shared::SharedBroker`] keeps one per stripe next to that
 //! stripe's published snapshot. Subscriptions are held by `Arc` so the
-//! snapshot delta shares the table's allocation instead of cloning it.
+//! snapshot's L0 shares the table's allocation instead of cloning it.
 
 use crate::time::{LogicalTime, Validity};
 use pubsub_types::metrics::Counter;
@@ -262,13 +262,31 @@ impl SubTable {
     }
 
     /// Iterates over the live subscriptions with their ids and validities,
-    /// in id order — the payload of a durability snapshot and the input of
-    /// an engine rebuild.
+    /// in id order — the payload of a durability snapshot.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (SubscriptionId, &Subscription, Validity)> {
         self.subs.iter().enumerate().filter_map(|(slot, rec)| {
             rec.as_ref()
                 .map(|r| (self.id_of(slot), &*r.sub, r.validity))
         })
+    }
+
+    /// The live subscriptions with ids in `[lo, hi)`, in id order — the
+    /// input of a snapshot tier build. Ids ascend with their slots, so the
+    /// range is one contiguous run of slots.
+    pub(crate) fn range(
+        &self,
+        lo: SubscriptionId,
+        hi: SubscriptionId,
+    ) -> impl Iterator<Item = (SubscriptionId, &Subscription)> {
+        // First slot whose id is at least `id`.
+        let slot_from = |id: SubscriptionId| {
+            (id.0.saturating_sub(self.id_base).div_ceil(self.id_step) as usize).min(self.subs.len())
+        };
+        let (start, end) = (slot_from(lo), slot_from(hi));
+        self.subs[start..end.max(start)]
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, rec)| rec.as_ref().map(|r| (self.id_of(start + i), &*r.sub)))
     }
 }
 
@@ -372,5 +390,29 @@ mod tests {
         assert_eq!(table.peek_next_id(), SubscriptionId(7));
         assert_eq!(table.advance_to(LogicalTime(8), |_| {}), 1);
         assert_eq!(ids(&table), vec![1]);
+    }
+
+    #[test]
+    fn range_yields_live_lane_ids_inside_the_bounds() {
+        let mut table = SubTable::with_id_lane(1, 3);
+        let ids: Vec<SubscriptionId> = (0..6)
+            .map(|v| table.insert(sub(v), Validity::forever()))
+            .collect();
+        assert!(table.remove(ids[2]));
+        let range = |lo: u32, hi: u32| -> Vec<u32> {
+            table
+                .range(SubscriptionId(lo), SubscriptionId(hi))
+                .map(|(id, _)| id.0)
+                .collect()
+        };
+        assert_eq!(range(0, 100), vec![1, 4, 10, 13, 16], "7 was removed");
+        assert_eq!(range(4, 13), vec![4, 10], "off-lane bounds round up");
+        assert_eq!(range(5, 11), vec![10]);
+        assert_eq!(
+            range(11, 5),
+            Vec::<u32>::new(),
+            "an inverted range is empty"
+        );
+        assert_eq!(range(17, 40), Vec::<u32>::new(), "past the last slot");
     }
 }

@@ -386,3 +386,163 @@ fn retired_snapshots_do_not_accumulate() {
     broker.compact();
     assert_eq!(broker.rcu_status().retired, 0);
 }
+
+/// Live subscriptions per stripe the insert phase of the tiered history
+/// reaches: past the 2 048 a level-1 tier may hold, so every stripe carries
+/// into a level-2 base, and on to a level-1 and a level-0 tier above it.
+const TIERED_PER_STRIPE: usize = 2_750;
+/// Churn-phase steps per stripe of the tiered history.
+const TIERED_CHURN_PER_STRIPE: usize = 300;
+/// Subscriptions a level-1 tier may hold; a larger build is level 2.
+const LEVEL1_CAPACITY: usize = 2_048;
+
+/// Per-mille thresholds of one phase's op mix: subscribe below `.0`,
+/// unsubscribe below `.1`, tick below `.2`, publish (single or batched)
+/// from there to 1 000.
+type OpMix = (u32, u32, u32);
+const INSERT_HEAVY: OpMix = (975, 995, 995);
+const CHURN_HEAVY: OpMix = (400, 750, 880);
+
+/// The differential model of [`differential_combo`] over a history long
+/// enough to reach the frozen tiers. An insert-heavy phase grows every
+/// stripe through tier levels 0, 1 and 2, ending each level with a
+/// whole-stripe merge into a new base; 30 % of its subscriptions carry
+/// validities that end during the following churn-heavy phase, so expiries
+/// land in the base and in every younger tier. The churn phase then subscribes (short
+/// validities), unsubscribes and ticks; a third of its unsubscribes take
+/// the newest live id, which sits in L0 or in the newest tier. Every
+/// publish and batch publish must equal the model exactly.
+fn tiered_differential_combo(kind: EngineKind, shards: usize, seed: u64) {
+    let broker = SharedBroker::new(kind, shards);
+    let attr = broker.attr("tiered");
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let ctx = format!("[{kind:?} × {shards} shards, seed {seed}]");
+    let mut model: Model = BTreeMap::new();
+    let churn_steps = TIERED_CHURN_PER_STRIPE * shards;
+    let churn_ticks = churn_steps as u64 * u64::from(CHURN_HEAVY.2 - CHURN_HEAVY.1) / 1_000;
+    // Per stripe: the largest build one subscribe fed the whole stripe to.
+    let mut whole_merge = vec![0usize; shards];
+
+    for (inserting, mix) in [(true, INSERT_HEAVY), (false, CHURN_HEAVY)] {
+        let mut steps = 0;
+        loop {
+            let done = if inserting {
+                model.len() >= TIERED_PER_STRIPE * shards
+            } else {
+                steps == churn_steps
+            };
+            if done {
+                break;
+            }
+            steps += 1;
+            let roll = rng.gen_range(0u32..1_000);
+            if roll < mix.0 {
+                let value = rng.gen_range(0i64..16);
+                let ahead = if inserting { churn_ticks } else { 8 };
+                let until = rng
+                    .gen_bool(0.3)
+                    .then(|| broker.now().plus(rng.gen_range(1..=ahead)));
+                let validity = until.map_or(Validity::forever(), Validity::until);
+                let built = broker.rcu_status().built;
+                let id = broker.subscribe(sub(attr, value), validity);
+                let fed = (broker.rcu_status().built - built) as usize;
+                let stripe = id.0 as usize % shards;
+                if fed == broker.shard_subscription_counts()[stripe] {
+                    whole_merge[stripe] = whole_merge[stripe].max(fed);
+                }
+                model.insert(id, (value, until));
+            } else if roll < mix.1 {
+                // The newest live id, or the first live id at or after a
+                // random one, without walking the model.
+                let newest = model.keys().next_back().copied();
+                let pick = if rng.gen_bool(1.0 / 3.0) {
+                    newest
+                } else {
+                    let from = rng.gen_range(0..=newest.map_or(0, |id| id.0));
+                    model
+                        .range(SubscriptionId(from)..)
+                        .next()
+                        .map(|(&id, _)| id)
+                };
+                if let Some(id) = pick {
+                    assert!(broker.unsubscribe(id), "{ctx}: model said {id} was live");
+                    model.remove(&id);
+                }
+            } else if roll < mix.2 {
+                broker.tick();
+                let now = broker.now();
+                model.retain(|_, (_, until)| until.is_none_or(|u| u > now));
+            } else if roll % 2 == 0 {
+                let v = rng.gen_range(0i64..16);
+                assert_eq!(
+                    broker.publish(&event(attr, v)),
+                    expected(&model, v),
+                    "{ctx}: publish diverged from model (inserting: {inserting})"
+                );
+            } else {
+                let values = [rng.gen_range(0i64..16), rng.gen_range(0i64..16)];
+                let events = values.map(|v| event(attr, v));
+                for (v, got) in values.iter().zip(broker.publish_batch(&events)) {
+                    assert_eq!(
+                        got,
+                        expected(&model, *v),
+                        "{ctx}: batch publish diverged from model (inserting: {inserting})"
+                    );
+                }
+            }
+        }
+        let events: Vec<Event> = (0i64..16).map(|v| event(attr, v)).collect();
+        for (v, got) in broker.publish_batch(&events).into_iter().enumerate() {
+            assert_eq!(got, expected(&model, v as i64), "{ctx}: end of phase");
+        }
+    }
+    for (stripe, &largest) in whole_merge.iter().enumerate() {
+        assert!(
+            largest > LEVEL1_CAPACITY,
+            "{ctx}: stripe {stripe} never merged whole into a level-2 base (largest {largest})"
+        );
+    }
+}
+
+/// id → (value, until), as in [`differential_combo`].
+type Model = BTreeMap<SubscriptionId, (i64, Option<LogicalTime>)>;
+
+/// The model's answer for an event carrying `v`, sorted by id.
+fn expected(model: &Model, v: i64) -> Vec<SubscriptionId> {
+    model
+        .iter()
+        .filter(|(_, (value, _))| *value == v)
+        .map(|(&id, _)| id)
+        .collect()
+}
+
+fn tiered_differential_for(kind: EngineKind) {
+    for shards in SHARD_COUNTS {
+        tiered_differential_combo(kind, shards, 0x71E2 ^ ((shards as u64) << 8));
+    }
+}
+
+#[test]
+fn tiered_differential_history_matches_model_counting() {
+    tiered_differential_for(EngineKind::Counting);
+}
+
+#[test]
+fn tiered_differential_history_matches_model_propagation() {
+    tiered_differential_for(EngineKind::Propagation);
+}
+
+#[test]
+fn tiered_differential_history_matches_model_propagation_prefetch() {
+    tiered_differential_for(EngineKind::PropagationPrefetch);
+}
+
+#[test]
+fn tiered_differential_history_matches_model_static() {
+    tiered_differential_for(EngineKind::Static);
+}
+
+#[test]
+fn tiered_differential_history_matches_model_dynamic() {
+    tiered_differential_for(EngineKind::Dynamic);
+}

@@ -547,14 +547,17 @@ impl Cli {
             let list: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
             out.push_str(&format!(
                 ",\"phase1_nanos\":{},\"phase2_nanos\":{},\"rcu\":{{\"active_readers\":{},\
-                 \"epoch\":{},\"flips\":{},\"retired\":{}}},\
+                 \"built\":{},\"epoch\":{},\"flips\":{},\"l0\":{},\"retired\":{},\"tiers\":{}}},\
                  \"shards\":[{}],\"subscriptions\":{}}}",
                 s.phase1_nanos,
                 s.phase2_nanos,
                 rcu.active_readers,
+                rcu.built,
                 rcu.epoch,
                 rcu.flips,
+                rcu.l0,
                 rcu.retired,
+                rcu.tiers,
                 list.join(","),
                 shared.subscription_count(),
             ));
@@ -585,8 +588,8 @@ impl Cli {
             d.recovery.segments_scanned,
         );
         out.push_str(&format!(
-            "\nrcu: flips {}  epoch {}  retired {}  active-readers {}",
-            rcu.flips, rcu.epoch, rcu.retired, rcu.active_readers,
+            "\nrcu: flips {}  epoch {}  retired {}  active-readers {}  tiers {}  l0 {}  built {}",
+            rcu.flips, rcu.epoch, rcu.retired, rcu.active_readers, rcu.tiers, rcu.l0, rcu.built,
         ));
         if let Some(cause) = &d.degraded_cause {
             out.push_str(&format!("\ndegraded cause: {cause}"));
@@ -1312,6 +1315,9 @@ mod tests {
         assert!(r.contains("events 1"), "{r}");
         assert!(r.contains("matches 1"), "{r}");
         assert!(r.contains("rcu: flips"), "{r}");
+        // One subscription sits in L0; the empty recovered stripe froze
+        // nothing.
+        assert!(r.contains("tiers 0  l0 1  built 0"), "{r}");
         let r = run(&mut cli, "stats --json");
         assert!(r.starts_with("{\"checks\":"), "{r}");
         assert!(r.contains("\"durability\":{\"degraded\":false"), "{r}");
@@ -1323,6 +1329,8 @@ mod tests {
         assert!(r.contains("\"events\":1"), "{r}");
         assert!(r.contains("\"rcu\":{\"active_readers\":0"), "{r}");
         assert!(r.contains("\"retired\":0"), "{r}");
+        assert!(r.contains("\"built\":0,\"epoch\":"), "{r}");
+        assert!(r.contains("\"l0\":1,\"retired\":0,\"tiers\":0}"), "{r}");
         assert!(r.ends_with("\"subscriptions\":1}"), "{r}");
         // Key order stays ascending around the durability and rcu blocks.
         assert!(r.find("\"checks\"").unwrap() < r.find("\"durability\"").unwrap());

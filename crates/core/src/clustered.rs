@@ -878,7 +878,10 @@ impl ClusteredMatcher {
             view[a.index()] = Some(v);
         }
         for table in self.tables.iter().flatten() {
-            if !table.schema().is_subset(schema) {
+            // A singleton table exists for every equality attribute any
+            // subscription names, and placement leaves many empty: an
+            // empty table cannot match, so skip its probe.
+            if table.population() == 0 || !table.schema().is_subset(schema) {
                 continue;
             }
             if let Some(list) = table.probe_view(view, probe_buf) {

@@ -3,7 +3,7 @@
 #
 # Usage: scripts/check.sh [--online] [--bench-smoke] [--chaos] [--durability]
 #                         [--contention] [--net] [--replication] [--sessions]
-#                         [--bless]
+#                         [--perf] [--bless]
 #
 # Lanes
 #   (default)      fmt + clippy + release build + tests with default features,
@@ -60,7 +60,15 @@
 #                  address and WAL dir, and require the run to complete —
 #                  every client must ride through the restart by resuming
 #                  its durable session.
-#   --bless        regenerate the golden fixtures (tests/golden/*: the
+#   --perf         benchmark lane: `benchmark/run.sh --smoke` (every workload
+#                  must report `"correct": true` with 0 failed operations),
+#                  then two interleaved `--repeat 1` runs of match_eq and
+#                  forward_small in this checkout and in a temporary git
+#                  worktree of `git merge-base HEAD main` (removed on exit),
+#                  judged by `run.sh compare`. Fails on a smoke failure or a
+#                  `worse` row, never on `unresolved`. Builds offline from
+#                  the tree; downloads nothing.
+#   --bless       regenerate the golden fixtures (tests/golden/*: the
 #                  MetricsSnapshot JSON schema and the WAL on-disk format
 #                  pins) from the current code by running the golden tests
 #                  under UPDATE_GOLDEN=1, then re-run them without it to
@@ -89,6 +97,7 @@ CONTENTION=0
 NET=0
 REPLICATION=0
 SESSIONS=0
+PERF=0
 BLESS=0
 for arg in "$@"; do
     case "$arg" in
@@ -100,9 +109,10 @@ for arg in "$@"; do
         --net) NET=1 ;;
         --replication) REPLICATION=1 ;;
         --sessions) SESSIONS=1 ;;
+        --perf) PERF=1 ;;
         --bless) BLESS=1 ;;
         *)
-            echo "unknown flag: $arg (known: --online --bench-smoke --chaos --durability --contention --net --replication --sessions --bless)" >&2
+            echo "unknown flag: $arg (known: --online --bench-smoke --chaos --durability --contention --net --replication --sessions --perf --bless)" >&2
             exit 2
             ;;
     esac
@@ -323,6 +333,37 @@ if [[ "$BENCH_SMOKE" == 1 ]]; then
     echo "==> differential proptest smoke (PROPTEST_CASES=8)"
     PROPTEST_CASES=8 cargo test ${OFFLINE} -p pubsub-core --test equivalence \
         all_engines_agree_on_identical_interleavings
+fi
+
+if [[ "$PERF" == 1 ]]; then
+    PERF_DIR="$(mktemp -d)"
+    PERF_SET="perf-$$"
+    BASE_DIR="$PERF_DIR/base"
+    trap 'git worktree remove --force "$BASE_DIR" 2>/dev/null || true
+          rm -f "benchmark/results/$PERF_SET.jsonl"; rm -rf "$PERF_DIR"' EXIT
+    echo "==> benchmark smoke (every workload, untraced and traced)"
+    bash benchmark/run.sh --smoke | tee "$PERF_DIR/smoke.out"
+    CLEAN_RUNS=$(grep -c '"correct": true, "attempted": [0-9]*, "failed": 0,' "$PERF_DIR/smoke.out" || true)
+    if [[ "$CLEAN_RUNS" != 8 ]]; then
+        echo "perf smoke: $CLEAN_RUNS of 8 runs correct with 0 failed operations" >&2
+        exit 1
+    fi
+    BASE_REV="$(git merge-base HEAD main)"
+    echo "==> interleaved match_eq + forward_small pairs against $BASE_REV"
+    git worktree add --detach "$BASE_DIR" "$BASE_REV"
+    for seed in 1 2; do
+        # Alternate which side runs first so both sample the same host time.
+        if [[ "$seed" == 1 ]]; then SIDES="$BASE_DIR ."; else SIDES=". $BASE_DIR"; fi
+        for side in $SIDES; do
+            (cd "$side" && bash benchmark/run.sh --repeat 1 --seed "$seed" --set "$PERF_SET" \
+                --workload "match_eq forward_small")
+        done
+    done
+    if ! bash benchmark/run.sh compare "$BASE_DIR/benchmark/results/$PERF_SET.jsonl" \
+        "benchmark/results/$PERF_SET.jsonl"; then
+        echo "perf: a metric reads worse than at $BASE_REV" >&2
+        exit 1
+    fi
 fi
 
 echo "==> all checks passed"

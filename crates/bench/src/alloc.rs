@@ -88,11 +88,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Serializes the tests below: they share the process-global counters.
+    static COUNTERS_LOCK: Mutex<()> = Mutex::new(());
 
     // The test binary does not install the allocator globally; exercise the
     // bookkeeping directly.
     #[test]
     fn counters_track_alloc_and_dealloc() {
+        let _guard = COUNTERS_LOCK.lock().unwrap();
         let before = CountingAllocator::live_bytes();
         add(1000);
         assert_eq!(CountingAllocator::live_bytes(), before + 1000);
@@ -103,6 +108,7 @@ mod tests {
 
     #[test]
     fn reset_peak_snaps_to_live() {
+        let _guard = COUNTERS_LOCK.lock().unwrap();
         add(500);
         CountingAllocator::reset_peak();
         assert_eq!(

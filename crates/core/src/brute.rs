@@ -4,6 +4,7 @@
 //! engine against the definitional semantics of §1.1.
 
 use crate::engine::{EngineStats, MatchEngine};
+use crate::view::{EngineCounters, MatchView, ViewScratch};
 use pubsub_types::metrics::Counter;
 use pubsub_types::{Event, FxHashMap, Subscription, SubscriptionId};
 use std::time::Instant;
@@ -14,12 +15,18 @@ static EVENTS: Counter = Counter::new("core.brute.events");
 static VERIFIED: Counter = Counter::new("core.brute.verified");
 /// Subscriptions the oracle reported as matches.
 static MATCHED: Counter = Counter::new("core.brute.matched");
+const COUNTERS: EngineCounters = EngineCounters {
+    events: &EVENTS,
+    verified: &VERIFIED,
+    matched: &MATCHED,
+};
 
 /// Stores subscriptions verbatim and matches by scanning all of them.
 #[derive(Debug, Default)]
 pub struct BruteForceMatcher {
     subs: FxHashMap<SubscriptionId, Subscription>,
-    stats: EngineStats,
+    /// Scratch the `&mut self` match path lends to [`MatchView::match_view`].
+    scratch: ViewScratch,
 }
 
 impl BruteForceMatcher {
@@ -46,22 +53,9 @@ impl MatchEngine for BruteForceMatcher {
     }
 
     fn match_event(&mut self, event: &Event, out: &mut Vec<SubscriptionId>) {
-        let start = Instant::now();
-        let before = out.len();
-        for (id, sub) in &self.subs {
-            if sub.matches_event(event) {
-                out.push(*id);
-            }
-        }
-        self.stats.events += 1;
-        self.stats.subscriptions_checked += self.subs.len() as u64;
-        self.stats.matches += (out.len() - before) as u64;
-        let phase2 = start.elapsed().as_nanos() as u64;
-        self.stats.phase2_nanos += phase2;
-        EVENTS.inc();
-        VERIFIED.add(self.subs.len() as u64);
-        MATCHED.add((out.len() - before) as u64);
-        crate::engine::PHASE2_NANOS.record(phase2);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.match_view(event, &mut scratch, out);
+        self.scratch = scratch;
     }
 
     fn len(&self) -> usize {
@@ -69,11 +63,11 @@ impl MatchEngine for BruteForceMatcher {
     }
 
     fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.scratch.stats
     }
 
     fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.scratch.stats.reset();
     }
 
     fn heap_bytes(&self) -> usize {
@@ -84,13 +78,8 @@ impl MatchEngine for BruteForceMatcher {
     }
 }
 
-impl crate::view::MatchView for BruteForceMatcher {
-    fn match_view(
-        &self,
-        event: &Event,
-        scratch: &mut crate::view::ViewScratch,
-        out: &mut Vec<SubscriptionId>,
-    ) {
+impl MatchView for BruteForceMatcher {
+    fn match_view(&self, event: &Event, scratch: &mut ViewScratch, out: &mut Vec<SubscriptionId>) {
         let start = Instant::now();
         let before = out.len();
         for (id, sub) in &self.subs {
@@ -98,12 +87,9 @@ impl crate::view::MatchView for BruteForceMatcher {
                 out.push(*id);
             }
         }
-        let matched = (out.len() - before) as u64;
+        let (checked, matched) = (self.subs.len() as u64, (out.len() - before) as u64);
         let phase2 = start.elapsed().as_nanos() as u64;
-        EVENTS.inc();
-        VERIFIED.add(self.subs.len() as u64);
-        MATCHED.add(matched);
-        scratch.record_event(0, phase2, self.subs.len() as u64, matched);
+        COUNTERS.record(&mut scratch.stats, 0, phase2, checked, matched);
     }
 }
 

@@ -15,16 +15,16 @@
 use crate::cluster::ClusterList;
 use crate::engine::{EngineStats, MatchEngine};
 use crate::tables::MultiAttrTable;
+use crate::view::{EngineCounters, MatchView, Phase2Engine, Phase2Scratch, ViewScratch};
 use pubsub_cost::{
     greedy_clustering, CostConstants, EventStatistics, GreedyConfig, SelectivityEstimator,
     SubscriptionProfile,
 };
-use pubsub_index::{Phase1Batch, PredicateBitVec, PredicateId, PredicateIndex};
+use pubsub_index::{PredicateBitVec, PredicateId, PredicateIndex};
 use pubsub_types::metrics::Counter;
 use pubsub_types::{
     AttrId, AttrSet, Event, FxHashMap, FxHashSet, Subscription, SubscriptionId, Value,
 };
-use std::time::Instant;
 
 /// Events matched by the clustered engine (static or dynamic).
 static EVENTS: Counter = Counter::new("core.clustered.events");
@@ -163,18 +163,11 @@ pub struct ClusteredMatcher {
     /// creation (so the potential map is never scanned on the hot path).
     ready: Vec<AttrSet>,
     in_maintenance: bool,
-    // Per-event workhorse buffers.
-    bits: PredicateBitVec,
-    satisfied: Vec<PredicateId>,
-    /// Reusable scratch for the batched phase-1 path.
-    batch: Phase1Batch,
-    probe_buf: Vec<Value>,
-    /// Dense attr → value view of the current event (cleared after each
-    /// match).
-    view: Vec<Option<Value>>,
     /// Set by [`ClusteredMatcher::freeze`]: stop updating event statistics.
     stats_frozen: bool,
-    stats: EngineStats,
+    /// Scratch the `&mut self` match path lends to the match driver; its
+    /// stats are the engine's, maintenance counts included.
+    scratch: ViewScratch,
 }
 
 impl ClusteredMatcher {
@@ -215,13 +208,8 @@ impl ClusteredMatcher {
             potential: FxHashMap::default(),
             ready: Vec::new(),
             in_maintenance: false,
-            bits: PredicateBitVec::new(),
-            satisfied: Vec::new(),
-            batch: Phase1Batch::new(),
-            probe_buf: Vec::new(),
-            view: Vec::new(),
             stats_frozen: false,
-            stats: EngineStats::default(),
+            scratch: ViewScratch::new(),
         }
     }
 
@@ -428,7 +416,7 @@ impl ClusteredMatcher {
         self.place(id, table_idx);
         // Moving deletes the vote mark (paper §4's Cluster_distribute).
         self.subs[id.index()].as_mut().expect("live sub").voted = false;
-        self.stats.subscription_moves += 1;
+        self.scratch.stats.subscription_moves += 1;
         SUB_MIGRATIONS.inc();
     }
 
@@ -576,7 +564,7 @@ impl ClusteredMatcher {
             .collect();
         for idx in empty {
             self.drop_table(idx);
-            self.stats.tables_deleted += 1;
+            self.scratch.stats.tables_deleted += 1;
         }
         // Drained pending entries may reference dropped tables; the guards
         // in check/redistribute tolerate that, but clear anyway. Clearing
@@ -616,7 +604,7 @@ impl ClusteredMatcher {
                 continue;
             }
             let table = self.drop_table(idx);
-            self.stats.tables_deleted += 1;
+            self.scratch.stats.tables_deleted += 1;
             for s in table.all_subscriptions() {
                 let e = self.subs[s.index()].as_ref().expect("live sub");
                 let (pairs, size) = (e.eq_pairs.clone(), e.size as usize);
@@ -625,7 +613,7 @@ impl ClusteredMatcher {
                 // The old placement died with the table: place directly.
                 self.place(s, best);
                 self.subs[s.index()].as_mut().expect("live sub").voted = false;
-                self.stats.subscription_moves += 1;
+                self.scratch.stats.subscription_moves += 1;
             }
         }
     }
@@ -814,7 +802,7 @@ impl ClusteredMatcher {
                 }
             }
             self.create_table(schema);
-            self.stats.tables_created += 1;
+            self.scratch.stats.tables_created += 1;
             for s in pot.candidates {
                 if self.subs[s.index()].is_none() {
                     continue; // removed meanwhile
@@ -836,79 +824,6 @@ impl ClusteredMatcher {
                 }
             }
         }
-    }
-
-    // ---- matching ---------------------------------------------------------
-
-    /// Phase 2: probes every table whose schema the event covers (plus the
-    /// fallback list) against `bits`. Returns candidates checked.
-    fn phase2(
-        &mut self,
-        event: &Event,
-        bits: &PredicateBitVec,
-        out: &mut Vec<SubscriptionId>,
-    ) -> usize {
-        let mut view = std::mem::take(&mut self.view);
-        let mut probe_buf = std::mem::take(&mut self.probe_buf);
-        let checked = self.phase2_with(event, bits, &mut view, &mut probe_buf, out);
-        self.view = view;
-        self.probe_buf = probe_buf;
-        checked
-    }
-
-    /// [`ClusteredMatcher::phase2`] with caller-owned probe buffers, so the
-    /// read-only [`crate::view::MatchView`] path can share `self` across
-    /// threads. `view` and `probe_buf` are pure scratch (left cleared).
-    fn phase2_with(
-        &self,
-        event: &Event,
-        bits: &PredicateBitVec,
-        view: &mut Vec<Option<Value>>,
-        probe_buf: &mut Vec<Value>,
-        out: &mut Vec<SubscriptionId>,
-    ) -> usize {
-        let mut checked = 0usize;
-        let schema = event.schema();
-        // Dense attr → value view: probing every table per event must not
-        // pay a binary search per schema attribute.
-        for &(a, v) in event.pairs() {
-            if view.len() <= a.index() {
-                view.resize(a.index() + 1, None);
-            }
-            view[a.index()] = Some(v);
-        }
-        for table in self.tables.iter().flatten() {
-            // A singleton table exists for every equality attribute any
-            // subscription names, and placement leaves many empty: an
-            // empty table cannot match, so skip its probe.
-            if table.population() == 0 || !table.schema().is_subset(schema) {
-                continue;
-            }
-            if let Some(list) = table.probe_view(view, probe_buf) {
-                checked += list.match_into::<true>(bits, out);
-            }
-        }
-        for &(a, _) in event.pairs() {
-            view[a.index()] = None;
-        }
-        if !self.fallback.is_empty() {
-            checked += self.fallback.match_into::<true>(bits, out);
-        }
-        checked
-    }
-
-    /// Folds one event's timings and counts into the stats and metrics.
-    fn record_event(&mut self, phase1: u64, phase2: u64, checked: u64, matched: u64) {
-        self.stats.events += 1;
-        self.stats.subscriptions_checked += checked;
-        self.stats.matches += matched;
-        self.stats.phase1_nanos += phase1;
-        self.stats.phase2_nanos += phase2;
-        EVENTS.inc();
-        VERIFIED.add(checked);
-        MATCHED.add(matched);
-        crate::engine::PHASE1_NANOS.record(phase1);
-        crate::engine::PHASE2_NANOS.record(phase2);
     }
 
     // ---- static optimization (paper §3.2) -----------------------------------
@@ -957,6 +872,62 @@ impl ClusteredMatcher {
         for idx in empty {
             self.drop_table(idx);
         }
+    }
+}
+
+impl Phase2Engine for ClusteredMatcher {
+    const COUNTERS: EngineCounters = EngineCounters {
+        events: &EVENTS,
+        verified: &VERIFIED,
+        matched: &MATCHED,
+    };
+
+    fn index(&self) -> &PredicateIndex {
+        &self.index
+    }
+
+    /// Probes every table whose schema the event covers (plus the fallback
+    /// list) against `bits`. Returns candidates checked. The scratch's
+    /// `view` and `probe_buf` are left cleared.
+    fn phase2_view(
+        &self,
+        event: &Event,
+        bits: &PredicateBitVec,
+        _satisfied: &[PredicateId],
+        scratch: &mut Phase2Scratch,
+        out: &mut Vec<SubscriptionId>,
+    ) -> u64 {
+        let Phase2Scratch {
+            view, probe_buf, ..
+        } = scratch;
+        let mut checked = 0usize;
+        let schema = event.schema();
+        // Dense attr → value view: probing every table per event must not
+        // pay a binary search per schema attribute.
+        for &(a, v) in event.pairs() {
+            if view.len() <= a.index() {
+                view.resize(a.index() + 1, None);
+            }
+            view[a.index()] = Some(v);
+        }
+        for table in self.tables.iter().flatten() {
+            // A singleton table exists for every equality attribute any
+            // subscription names, and placement leaves many empty: an
+            // empty table cannot match, so skip its probe.
+            if table.population() == 0 || !table.schema().is_subset(schema) {
+                continue;
+            }
+            if let Some(list) = table.probe_view(view, probe_buf) {
+                checked += list.match_into::<true>(bits, out);
+            }
+        }
+        for &(a, _) in event.pairs() {
+            view[a.index()] = None;
+        }
+        if !self.fallback.is_empty() {
+            checked += self.fallback.match_into::<true>(bits, out);
+        }
+        checked as u64
     }
 }
 
@@ -1016,57 +987,35 @@ impl MatchEngine for ClusteredMatcher {
         self.bump_ops();
     }
 
+    /// Feeds the selectivity estimator and ticks the maintenance clock
+    /// around the shared match driver. The `&self` [`MatchView`] does
+    /// neither: under RCU the snapshot is immutable, so dynamic maintenance
+    /// is driven solely by writer-side subscription churn (see DESIGN.md
+    /// §12).
     fn match_event(&mut self, event: &Event, out: &mut Vec<SubscriptionId>) {
-        let t0 = Instant::now();
         if !self.stats_frozen {
             self.est.observe(event);
         }
-        self.satisfied.clear();
-        self.index
-            .eval_into(event, &mut self.bits, &mut self.satisfied);
-        let t1 = Instant::now();
-
-        let before = out.len();
-        let bits = std::mem::take(&mut self.bits);
-        let checked = self.phase2(event, &bits, out);
-        self.bits = bits;
-        self.bits.clear();
-
-        let matched = (out.len() - before) as u64;
-        let phase1 = (t1 - t0).as_nanos() as u64;
-        let phase2 = t1.elapsed().as_nanos() as u64;
-        self.record_event(phase1, phase2, checked as u64, matched);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.match_view(event, &mut scratch, out);
+        self.scratch = scratch;
         self.bump_ops();
     }
 
+    /// Maintenance that an event in the batch triggers runs once the whole
+    /// batch has matched.
     fn match_batch_into(&mut self, events: &[Event], out: &mut Vec<Vec<SubscriptionId>>) {
-        out.resize_with(events.len(), Vec::new);
-        out.truncate(events.len());
-        let t0 = Instant::now();
         if !self.stats_frozen {
             for event in events {
                 self.est.observe(event);
             }
         }
-        let mut batch = std::mem::take(&mut self.batch);
-        self.index.eval_batch_into(events, &mut batch);
-        let t1 = Instant::now();
-        // Attribute the amortised phase-1 cost evenly across the batch.
-        let phase1 = ((t1 - t0).as_nanos() as u64) / (events.len().max(1) as u64);
-
-        for (i, (event, dst)) in events.iter().zip(out.iter_mut()).enumerate() {
-            dst.clear();
-            let tm = Instant::now();
-            self.index.materialize(&mut batch, i);
-            let phase1_i = phase1 + tm.elapsed().as_nanos() as u64;
-            let t2 = Instant::now();
-            let checked = self.phase2(event, batch.bits(i), dst);
-            batch.clear_event(i);
-            let phase2 = t2.elapsed().as_nanos() as u64;
-            self.record_event(phase1_i, phase2, checked as u64, dst.len() as u64);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.match_batch_view(events, &mut scratch, out);
+        self.scratch = scratch;
+        for _ in events {
             self.bump_ops();
         }
-        self.batch = batch;
     }
 
     fn len(&self) -> usize {
@@ -1080,11 +1029,11 @@ impl MatchEngine for ClusteredMatcher {
     }
 
     fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.scratch.stats
     }
 
     fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.scratch.stats.reset();
     }
 
     fn heap_bytes(&self) -> usize {
@@ -1095,82 +1044,7 @@ impl MatchEngine for ClusteredMatcher {
             .flatten()
             .map(|e| e.pred_ids.capacity() * 4 + e.eq_pairs.capacity() * 24 + 48)
             .sum();
-        tables + self.fallback.heap_bytes() + entries + self.bits.heap_bytes()
-    }
-}
-
-impl crate::view::MatchView for ClusteredMatcher {
-    /// Read-only matching. Unlike [`MatchEngine::match_event`] this neither
-    /// feeds the selectivity estimator nor ticks the maintenance clock —
-    /// under RCU the snapshot is immutable, so dynamic maintenance is driven
-    /// solely by writer-side subscription churn (see DESIGN.md §12).
-    fn match_view(
-        &self,
-        event: &Event,
-        scratch: &mut crate::view::ViewScratch,
-        out: &mut Vec<SubscriptionId>,
-    ) {
-        let t0 = Instant::now();
-        scratch.satisfied.clear();
-        self.index
-            .eval_into(event, &mut scratch.bits, &mut scratch.satisfied);
-        let t1 = Instant::now();
-
-        let before = out.len();
-        let checked = self.phase2_with(
-            event,
-            &scratch.bits,
-            &mut scratch.view,
-            &mut scratch.probe_buf,
-            out,
-        );
-        scratch.bits.clear();
-
-        let matched = (out.len() - before) as u64;
-        let phase1 = (t1 - t0).as_nanos() as u64;
-        let phase2 = t1.elapsed().as_nanos() as u64;
-        EVENTS.inc();
-        VERIFIED.add(checked as u64);
-        MATCHED.add(matched);
-        scratch.record_event(phase1, phase2, checked as u64, matched);
-    }
-
-    fn match_batch_view(
-        &self,
-        events: &[Event],
-        scratch: &mut crate::view::ViewScratch,
-        out: &mut Vec<Vec<SubscriptionId>>,
-    ) {
-        out.resize_with(events.len(), Vec::new);
-        out.truncate(events.len());
-        let t0 = Instant::now();
-        let mut batch = std::mem::take(&mut scratch.batch);
-        self.index.eval_batch_into(events, &mut batch);
-        let t1 = Instant::now();
-        // Attribute the amortised phase-1 cost evenly across the batch.
-        let phase1 = ((t1 - t0).as_nanos() as u64) / (events.len().max(1) as u64);
-
-        for (i, (event, dst)) in events.iter().zip(out.iter_mut()).enumerate() {
-            dst.clear();
-            let tm = Instant::now();
-            self.index.materialize(&mut batch, i);
-            let phase1_i = phase1 + tm.elapsed().as_nanos() as u64;
-            let t2 = Instant::now();
-            let checked = self.phase2_with(
-                event,
-                batch.bits(i),
-                &mut scratch.view,
-                &mut scratch.probe_buf,
-                dst,
-            );
-            batch.clear_event(i);
-            let phase2 = t2.elapsed().as_nanos() as u64;
-            EVENTS.inc();
-            VERIFIED.add(checked as u64);
-            MATCHED.add(dst.len() as u64);
-            scratch.record_event(phase1_i, phase2, checked as u64, dst.len() as u64);
-        }
-        scratch.batch = batch;
+        tables + self.fallback.heap_bytes() + entries
     }
 }
 

@@ -10,10 +10,10 @@
 //! valid only if its stamp equals the current event's epoch.
 
 use crate::engine::{EngineStats, MatchEngine};
-use pubsub_index::{Phase1Batch, PredicateBitVec, PredicateId, PredicateIndex};
+use crate::view::{EngineCounters, MatchView, Phase2Engine, Phase2Scratch, ViewScratch};
+use pubsub_index::{PredicateBitVec, PredicateId, PredicateIndex};
 use pubsub_types::metrics::Counter;
 use pubsub_types::{Event, Subscription, SubscriptionId};
-use std::time::Instant;
 
 /// Events matched by the counting engine.
 static EVENTS: Counter = Counter::new("core.counting.events");
@@ -40,17 +40,9 @@ pub struct CountingMatcher {
     subs: Vec<Option<SubEntry>>,
     /// Predicate count per subscription id (0 = absent).
     arity: Vec<u32>,
-    /// Hit counters with epoch validity stamps.
-    counts: Vec<u32>,
-    stamps: Vec<u32>,
-    epoch: u32,
-    // Per-event workhorse buffers.
-    bits: PredicateBitVec,
-    satisfied: Vec<PredicateId>,
-    /// Reusable scratch for the batched phase-1 path.
-    batch: Phase1Batch,
     live: usize,
-    stats: EngineStats,
+    /// Scratch the `&mut self` match path lends to the match driver.
+    scratch: ViewScratch,
 }
 
 impl CountingMatcher {
@@ -64,8 +56,6 @@ impl CountingMatcher {
         if self.subs.len() < need {
             self.subs.resize_with(need, || None);
             self.arity.resize(need, 0);
-            self.counts.resize(need, 0);
-            self.stamps.resize(need, 0);
         }
     }
 
@@ -74,54 +64,43 @@ impl CountingMatcher {
             self.assoc.resize_with(pid.index() + 1, Vec::new);
         }
     }
+}
 
-    /// Phase 2: walks the satisfied predicates' association lists, bumping
-    /// epoch-stamped counters and reporting subscriptions whose counter
-    /// reaches their arity. Returns the number of increments performed.
-    fn phase2(&mut self, satisfied: &[PredicateId], out: &mut Vec<SubscriptionId>) -> u64 {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wrap-around: invalidate everything explicitly once per
-            // 2^32 events.
-            self.stamps.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
-        let mut increments = 0u64;
-        for &pid in satisfied {
-            for &sid in &self.assoc[pid.index()] {
-                let i = sid.index();
-                increments += 1;
-                let c = if self.stamps[i] == epoch {
-                    self.counts[i] + 1
-                } else {
-                    self.stamps[i] = epoch;
-                    1
-                };
-                self.counts[i] = c;
-                if c == self.arity[i] {
-                    out.push(sid);
-                }
-            }
-        }
-        increments
+impl Phase2Engine for CountingMatcher {
+    const COUNTERS: EngineCounters = EngineCounters {
+        events: &EVENTS,
+        verified: &VERIFIED,
+        matched: &MATCHED,
+    };
+
+    fn index(&self) -> &PredicateIndex {
+        &self.index
     }
 
-    /// Phase 2 against caller-owned counters — the [`MatchView`] twin of
-    /// [`CountingMatcher::phase2`], reading only the association table and
-    /// arities from `self`.
+    /// Walks the satisfied predicates' association lists, bumping the
+    /// scratch's epoch-stamped counters and reporting subscriptions whose
+    /// counter reaches their arity. Returns the increments performed.
+    /// Counting does not read the bit vector.
     fn phase2_view(
         &self,
+        _event: &Event,
+        _bits: &PredicateBitVec,
         satisfied: &[PredicateId],
-        counts: &mut Vec<u32>,
-        stamps: &mut Vec<u32>,
-        epoch: &mut u32,
+        scratch: &mut Phase2Scratch,
         out: &mut Vec<SubscriptionId>,
     ) -> u64 {
+        let Phase2Scratch {
+            counts,
+            stamps,
+            epoch,
+            ..
+        } = scratch;
         counts.resize(self.arity.len(), 0);
         stamps.resize(self.arity.len(), 0);
         *epoch = epoch.wrapping_add(1);
         if *epoch == 0 {
+            // Stamp wrap-around: invalidate everything explicitly once per
+            // 2^32 events.
             stamps.fill(0);
             *epoch = 1;
         }
@@ -144,20 +123,6 @@ impl CountingMatcher {
             }
         }
         increments
-    }
-
-    /// Folds one event's timings and counts into the stats and metrics.
-    fn record_event(&mut self, phase1: u64, phase2: u64, checked: u64, matched: u64) {
-        self.stats.events += 1;
-        self.stats.subscriptions_checked += checked;
-        self.stats.matches += matched;
-        self.stats.phase1_nanos += phase1;
-        self.stats.phase2_nanos += phase2;
-        EVENTS.inc();
-        VERIFIED.add(checked);
-        MATCHED.add(matched);
-        crate::engine::PHASE1_NANOS.record(phase1);
-        crate::engine::PHASE2_NANOS.record(phase2);
     }
 }
 
@@ -216,46 +181,15 @@ impl MatchEngine for CountingMatcher {
     }
 
     fn match_event(&mut self, event: &Event, out: &mut Vec<SubscriptionId>) {
-        let t0 = Instant::now();
-        self.satisfied.clear();
-        self.index
-            .eval_into(event, &mut self.bits, &mut self.satisfied);
-        self.bits.clear(); // counting does not read the bit vector
-        let t1 = Instant::now();
-
-        let before = out.len();
-        let satisfied = std::mem::take(&mut self.satisfied);
-        let increments = self.phase2(&satisfied, out);
-        self.satisfied = satisfied;
-
-        let matched = (out.len() - before) as u64;
-        let phase1 = (t1 - t0).as_nanos() as u64;
-        let phase2 = t1.elapsed().as_nanos() as u64;
-        self.record_event(phase1, phase2, increments, matched);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.match_view(event, &mut scratch, out);
+        self.scratch = scratch;
     }
 
     fn match_batch_into(&mut self, events: &[Event], out: &mut Vec<Vec<SubscriptionId>>) {
-        out.resize_with(events.len(), Vec::new);
-        out.truncate(events.len());
-        let t0 = Instant::now();
-        let mut batch = std::mem::take(&mut self.batch);
-        self.index.eval_batch_into(events, &mut batch);
-        let t1 = Instant::now();
-        // Attribute the amortised phase-1 cost evenly across the batch.
-        let phase1 = ((t1 - t0).as_nanos() as u64) / (events.len().max(1) as u64);
-
-        for (i, dst) in out.iter_mut().enumerate() {
-            dst.clear();
-            let tm = Instant::now();
-            self.index.materialize(&mut batch, i);
-            let phase1_i = phase1 + tm.elapsed().as_nanos() as u64;
-            let t2 = Instant::now();
-            let increments = self.phase2(batch.satisfied(i), dst);
-            batch.clear_event(i);
-            let phase2 = t2.elapsed().as_nanos() as u64;
-            self.record_event(phase1_i, phase2, increments, dst.len() as u64);
-        }
-        self.batch = batch;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.match_batch_view(events, &mut scratch, out);
+        self.scratch = scratch;
     }
 
     fn len(&self) -> usize {
@@ -263,11 +197,11 @@ impl MatchEngine for CountingMatcher {
     }
 
     fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.scratch.stats
     }
 
     fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.scratch.stats.reset();
     }
 
     fn heap_bytes(&self) -> usize {
@@ -278,78 +212,7 @@ impl MatchEngine for CountingMatcher {
             .flatten()
             .map(|e| e.pred_ids.capacity() * 4 + e.positions.capacity() * 4)
             .sum();
-        assoc + entries + self.counts.capacity() * 4 + self.stamps.capacity() * 4
-    }
-}
-
-impl crate::view::MatchView for CountingMatcher {
-    fn match_view(
-        &self,
-        event: &Event,
-        scratch: &mut crate::view::ViewScratch,
-        out: &mut Vec<SubscriptionId>,
-    ) {
-        let t0 = Instant::now();
-        scratch.satisfied.clear();
-        self.index
-            .eval_into(event, &mut scratch.bits, &mut scratch.satisfied);
-        scratch.bits.clear(); // counting does not read the bit vector
-        let t1 = Instant::now();
-
-        let before = out.len();
-        let increments = self.phase2_view(
-            &scratch.satisfied,
-            &mut scratch.counts,
-            &mut scratch.stamps,
-            &mut scratch.epoch,
-            out,
-        );
-
-        let matched = (out.len() - before) as u64;
-        let phase1 = (t1 - t0).as_nanos() as u64;
-        let phase2 = t1.elapsed().as_nanos() as u64;
-        EVENTS.inc();
-        VERIFIED.add(increments);
-        MATCHED.add(matched);
-        scratch.record_event(phase1, phase2, increments, matched);
-    }
-
-    fn match_batch_view(
-        &self,
-        events: &[Event],
-        scratch: &mut crate::view::ViewScratch,
-        out: &mut Vec<Vec<SubscriptionId>>,
-    ) {
-        out.resize_with(events.len(), Vec::new);
-        out.truncate(events.len());
-        let t0 = Instant::now();
-        let mut batch = std::mem::take(&mut scratch.batch);
-        self.index.eval_batch_into(events, &mut batch);
-        let t1 = Instant::now();
-        // Attribute the amortised phase-1 cost evenly across the batch.
-        let phase1 = ((t1 - t0).as_nanos() as u64) / (events.len().max(1) as u64);
-
-        for (i, dst) in out.iter_mut().enumerate() {
-            dst.clear();
-            let tm = Instant::now();
-            self.index.materialize(&mut batch, i);
-            let phase1_i = phase1 + tm.elapsed().as_nanos() as u64;
-            let t2 = Instant::now();
-            let increments = self.phase2_view(
-                batch.satisfied(i),
-                &mut scratch.counts,
-                &mut scratch.stamps,
-                &mut scratch.epoch,
-                dst,
-            );
-            batch.clear_event(i);
-            let phase2 = t2.elapsed().as_nanos() as u64;
-            EVENTS.inc();
-            VERIFIED.add(increments);
-            MATCHED.add(dst.len() as u64);
-            scratch.record_event(phase1_i, phase2, increments, dst.len() as u64);
-        }
-        scratch.batch = batch;
+        assoc + entries
     }
 }
 

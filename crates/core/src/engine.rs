@@ -76,9 +76,10 @@ pub trait MatchEngine {
     /// Matches a batch of events, filling `out` with one result vector per
     /// event (parallel to `events`; existing inner vectors are reused).
     ///
-    /// The default implementation loops over [`MatchEngine::match_event`];
-    /// engines with cross-event amortisation opportunities (the
-    /// attribute-major batched phase 1) override it.
+    /// The default implementation loops over [`MatchEngine::match_event`]
+    /// (the brute-force oracle keeps it). Counting, propagation and
+    /// clustered run the shared batch driver of [`crate::view`]: one
+    /// attribute-major phase 1 for the whole batch.
     fn match_batch_into(&mut self, events: &[Event], out: &mut Vec<Vec<SubscriptionId>>) {
         out.resize_with(events.len(), Vec::new);
         out.truncate(events.len());

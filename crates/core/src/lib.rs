@@ -15,10 +15,11 @@
 //!
 //! All implement [`MatchEngine`]; [`EngineKind`] builds them by name.
 //!
-//! For shared read-mostly deployments, [`view::MatchView`] exposes the same
-//! matching through `&self` with caller-owned scratch, and [`rcu::RcuCell`]
-//! provides the epoch-protected snapshot publication the broker's lock-free
-//! publish path is built on.
+//! [`view`] holds the indexed engines' one match driver (phase 1, phase
+//! timers, stats; each engine supplies only its phase 2). It runs through
+//! `&self` with caller-owned scratch as [`view::MatchView`], and
+//! [`rcu::RcuCell`] provides the epoch-protected snapshot publication the
+//! broker's lock-free publish path is built on.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

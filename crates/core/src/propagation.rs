@@ -13,10 +13,10 @@
 
 use crate::cluster::ClusterList;
 use crate::engine::{EngineStats, MatchEngine};
-use pubsub_index::{Phase1Batch, PredicateBitVec, PredicateId, PredicateIndex};
+use crate::view::{EngineCounters, MatchView, Phase2Engine, Phase2Scratch, ViewScratch};
+use pubsub_index::{PredicateBitVec, PredicateId, PredicateIndex};
 use pubsub_types::metrics::Counter;
 use pubsub_types::{Event, FxHashMap, Subscription, SubscriptionId};
-use std::time::Instant;
 
 /// Events matched by the propagation engine (both variants).
 static EVENTS: Counter = Counter::new("core.propagation.events");
@@ -49,12 +49,8 @@ pub struct PropagationMatcher {
     fallback: ClusterList,
     subs: Vec<Option<SubEntry>>,
     live: usize,
-    // Per-event workhorse buffers.
-    bits: PredicateBitVec,
-    satisfied: Vec<PredicateId>,
-    /// Reusable scratch for the batched phase-1 path.
-    batch: Phase1Batch,
-    stats: EngineStats,
+    /// Scratch the `&mut self` match path lends to the match driver.
+    scratch: ViewScratch,
 }
 
 impl PropagationMatcher {
@@ -99,15 +95,29 @@ impl PropagationMatcher {
             e.slot = slot;
         }
     }
+}
 
-    /// Phase 2: scans the cluster lists of the satisfied access predicates
-    /// (plus the fallback list) against `bits`. Returns candidates checked.
-    fn phase2(
+impl Phase2Engine for PropagationMatcher {
+    const COUNTERS: EngineCounters = EngineCounters {
+        events: &EVENTS,
+        verified: &VERIFIED,
+        matched: &MATCHED,
+    };
+
+    fn index(&self) -> &PredicateIndex {
+        &self.index
+    }
+
+    /// Scans the cluster lists of the satisfied access predicates (plus the
+    /// fallback list) against `bits`. Returns candidates checked.
+    fn phase2_view(
         &self,
+        _event: &Event,
         bits: &PredicateBitVec,
         satisfied: &[PredicateId],
+        _scratch: &mut Phase2Scratch,
         out: &mut Vec<SubscriptionId>,
-    ) -> usize {
+    ) -> u64 {
         let mut checked = 0usize;
         for &pid in satisfied {
             if let Some(list) = self.access.get(&pid) {
@@ -126,21 +136,7 @@ impl PropagationMatcher {
                 self.fallback.match_into::<false>(bits, out)
             };
         }
-        checked
-    }
-
-    /// Folds one event's timings and counts into the stats and metrics.
-    fn record_event(&mut self, phase1: u64, phase2: u64, checked: u64, matched: u64) {
-        self.stats.events += 1;
-        self.stats.subscriptions_checked += checked;
-        self.stats.matches += matched;
-        self.stats.phase1_nanos += phase1;
-        self.stats.phase2_nanos += phase2;
-        EVENTS.inc();
-        VERIFIED.add(checked);
-        MATCHED.add(matched);
-        crate::engine::PHASE1_NANOS.record(phase1);
-        crate::engine::PHASE2_NANOS.record(phase2);
+        checked as u64
     }
 }
 
@@ -210,48 +206,15 @@ impl MatchEngine for PropagationMatcher {
     }
 
     fn match_event(&mut self, event: &Event, out: &mut Vec<SubscriptionId>) {
-        let t0 = Instant::now();
-        self.satisfied.clear();
-        self.index
-            .eval_into(event, &mut self.bits, &mut self.satisfied);
-        let t1 = Instant::now();
-
-        let before = out.len();
-        let bits = std::mem::take(&mut self.bits);
-        let satisfied = std::mem::take(&mut self.satisfied);
-        let checked = self.phase2(&bits, &satisfied, out);
-        self.bits = bits;
-        self.satisfied = satisfied;
-        self.bits.clear();
-
-        let matched = (out.len() - before) as u64;
-        let phase1 = (t1 - t0).as_nanos() as u64;
-        let phase2 = t1.elapsed().as_nanos() as u64;
-        self.record_event(phase1, phase2, checked as u64, matched);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.match_view(event, &mut scratch, out);
+        self.scratch = scratch;
     }
 
     fn match_batch_into(&mut self, events: &[Event], out: &mut Vec<Vec<SubscriptionId>>) {
-        out.resize_with(events.len(), Vec::new);
-        out.truncate(events.len());
-        let t0 = Instant::now();
-        let mut batch = std::mem::take(&mut self.batch);
-        self.index.eval_batch_into(events, &mut batch);
-        let t1 = Instant::now();
-        // Attribute the amortised phase-1 cost evenly across the batch.
-        let phase1 = ((t1 - t0).as_nanos() as u64) / (events.len().max(1) as u64);
-
-        for (i, dst) in out.iter_mut().enumerate() {
-            dst.clear();
-            let tm = Instant::now();
-            self.index.materialize(&mut batch, i);
-            let phase1_i = phase1 + tm.elapsed().as_nanos() as u64;
-            let t2 = Instant::now();
-            let checked = self.phase2(batch.bits(i), batch.satisfied(i), dst);
-            batch.clear_event(i);
-            let phase2 = t2.elapsed().as_nanos() as u64;
-            self.record_event(phase1_i, phase2, checked as u64, dst.len() as u64);
-        }
-        self.batch = batch;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.match_batch_view(events, &mut scratch, out);
+        self.scratch = scratch;
     }
 
     fn len(&self) -> usize {
@@ -259,11 +222,11 @@ impl MatchEngine for PropagationMatcher {
     }
 
     fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.scratch.stats
     }
 
     fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.scratch.stats.reset();
     }
 
     fn heap_bytes(&self) -> usize {
@@ -274,66 +237,7 @@ impl MatchEngine for PropagationMatcher {
             .flatten()
             .map(|e| e.pred_ids.capacity() * 4 + 16)
             .sum();
-        lists + self.fallback.heap_bytes() + entries + self.bits.heap_bytes()
-    }
-}
-
-impl crate::view::MatchView for PropagationMatcher {
-    fn match_view(
-        &self,
-        event: &Event,
-        scratch: &mut crate::view::ViewScratch,
-        out: &mut Vec<SubscriptionId>,
-    ) {
-        let t0 = Instant::now();
-        scratch.satisfied.clear();
-        self.index
-            .eval_into(event, &mut scratch.bits, &mut scratch.satisfied);
-        let t1 = Instant::now();
-
-        let before = out.len();
-        let checked = self.phase2(&scratch.bits, &scratch.satisfied, out);
-        scratch.bits.clear();
-
-        let matched = (out.len() - before) as u64;
-        let phase1 = (t1 - t0).as_nanos() as u64;
-        let phase2 = t1.elapsed().as_nanos() as u64;
-        EVENTS.inc();
-        VERIFIED.add(checked as u64);
-        MATCHED.add(matched);
-        scratch.record_event(phase1, phase2, checked as u64, matched);
-    }
-
-    fn match_batch_view(
-        &self,
-        events: &[Event],
-        scratch: &mut crate::view::ViewScratch,
-        out: &mut Vec<Vec<SubscriptionId>>,
-    ) {
-        out.resize_with(events.len(), Vec::new);
-        out.truncate(events.len());
-        let t0 = Instant::now();
-        let mut batch = std::mem::take(&mut scratch.batch);
-        self.index.eval_batch_into(events, &mut batch);
-        let t1 = Instant::now();
-        // Attribute the amortised phase-1 cost evenly across the batch.
-        let phase1 = ((t1 - t0).as_nanos() as u64) / (events.len().max(1) as u64);
-
-        for (i, dst) in out.iter_mut().enumerate() {
-            dst.clear();
-            let tm = Instant::now();
-            self.index.materialize(&mut batch, i);
-            let phase1_i = phase1 + tm.elapsed().as_nanos() as u64;
-            let t2 = Instant::now();
-            let checked = self.phase2(batch.bits(i), batch.satisfied(i), dst);
-            batch.clear_event(i);
-            let phase2 = t2.elapsed().as_nanos() as u64;
-            EVENTS.inc();
-            VERIFIED.add(checked as u64);
-            MATCHED.add(dst.len() as u64);
-            scratch.record_event(phase1_i, phase2, checked as u64, dst.len() as u64);
-        }
-        scratch.batch = batch;
+        lists + self.fallback.heap_bytes() + entries
     }
 }
 

@@ -65,9 +65,12 @@
 #                  then two interleaved `--repeat 1` runs of match_eq and
 #                  forward_small in this checkout and in a temporary git
 #                  worktree of `git merge-base HEAD main` (removed on exit),
-#                  judged by `run.sh compare`. Fails on a smoke failure or a
-#                  `worse` row, never on `unresolved`. Builds offline from
-#                  the tree; downloads nothing.
+#                  printed by `run.sh compare`. Reports without gating: it
+#                  fails on a smoke failure or a compare error, never on a
+#                  verdict. Two pairs cannot gate (on a shared 2-vCPU host
+#                  they read `worse` on noise), so a `worse` row adds one
+#                  stderr note that ten interleaved pairs are needed.
+#                  Builds offline from the tree; downloads nothing.
 #   --bless       regenerate the golden fixtures (tests/golden/*: the
 #                  MetricsSnapshot JSON schema and the WAL on-disk format
 #                  pins) from the current code by running the golden tests
@@ -359,9 +362,13 @@ if [[ "$PERF" == 1 ]]; then
                 --workload "match_eq forward_small")
         done
     done
-    if ! bash benchmark/run.sh compare "$BASE_DIR/benchmark/results/$PERF_SET.jsonl" \
-        "benchmark/results/$PERF_SET.jsonl"; then
-        echo "perf: a metric reads worse than at $BASE_REV" >&2
+    COMPARE_STATUS=0
+    bash benchmark/run.sh compare "$BASE_DIR/benchmark/results/$PERF_SET.jsonl" \
+        "benchmark/results/$PERF_SET.jsonl" | tee "$PERF_DIR/compare.out" || COMPARE_STATUS=$?
+    if grep -q ' worse$' "$PERF_DIR/compare.out"; then
+        echo "perf: a row reads worse than at $BASE_REV, but two pairs cannot gate; judge it by ten interleaved pairs (run.sh --repeat 1 --seed 1..10, alternating sides)" >&2
+    elif [[ "$COMPARE_STATUS" != 0 ]]; then
+        echo "perf: run.sh compare failed" >&2
         exit 1
     fi
 fi

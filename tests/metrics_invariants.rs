@@ -59,6 +59,57 @@ mod enabled {
         assert_eq!(snap.counter("broker.subscribes"), Some(8));
     }
 
+    /// A `SharedBroker` publish runs phase 1 once per frozen tier: each
+    /// tier engine owns its predicate index.
+    #[test]
+    fn shared_publishes_run_phase1_once_per_tier() {
+        let _guard = METRICS_LOCK.lock().unwrap();
+        let broker = SharedBroker::new(EngineKind::Counting, 1);
+        let subscribe = |n: u32| {
+            for i in 0..n {
+                let sub = Subscription::builder()
+                    .eq(AttrId(0), (i % 4) as i64)
+                    .build()
+                    .unwrap();
+                broker.subscribe(sub, Validity::forever());
+            }
+        };
+        let evals_over = |n: u64| {
+            let counts = || {
+                let snap = MetricsSnapshot::capture();
+                let count = |name| snap.counter(name).unwrap_or(0);
+                (
+                    count("index.phase1.snapshot_evals"),
+                    count("core.counting.events"),
+                )
+            };
+            let before = counts();
+            for i in 0..n {
+                let event = Event::builder()
+                    .pair(AttrId(0), (i % 8) as i64)
+                    .build()
+                    .unwrap();
+                broker.publish(&event);
+            }
+            let after = counts();
+            (after.0 - before.0, after.1 - before.1)
+        };
+        const N: u64 = 40;
+
+        // Past a level-0 tier's 256, so the compacted base sits at level 1
+        // and the next L0 flush becomes a tier of its own.
+        subscribe(300);
+        broker.compact();
+        let status = broker.rcu_status();
+        assert_eq!((status.tiers, status.l0), (1, 0), "compact leaves one base");
+        assert_eq!(evals_over(N), (N, N));
+
+        subscribe(40);
+        let tiers = broker.rcu_status().tiers as u64;
+        assert!(tiers > 1, "40 uncompacted subscriptions add a tier");
+        assert_eq!(evals_over(N), (N * tiers, N * tiers));
+    }
+
     #[test]
     fn verified_is_at_least_matched_on_every_engine() {
         let _guard = METRICS_LOCK.lock().unwrap();

@@ -3,11 +3,15 @@
 //!
 //! Each stripe's subscription set is published as a [`ShardSnap`]: a short
 //! list of *frozen tiers* plus an *L0* of at most 32 subscriptions added
-//! since the newest tier was built. A tier is an immutable engine
-//! (built by [`pubsub_core::build_frozen`], shared by `Arc`, matched through
-//! [`pubsub_core::MatchView`]) with its own sorted *tombstones*: the ids
-//! removed from it since it was built. Readers match every tier, drop that
-//! tier's tombstoned ids, and brute-force L0.
+//! since the newest tier was built. A tier is an immutable phase-2 engine
+//! (built by [`pubsub_core::build_tier`], shared by `Arc`) with its own
+//! sorted *tombstones*: the ids removed from it since it was built.
+//!
+//! Every tier of every stripe is built against the ids of one broker-wide
+//! [`Registry`], and a [`BrokerSnapshot`] publishes its index beside the
+//! stripes. A publish runs phase 1 once against that copy, then
+//! every tier's phase 2 on the one bit vector, drops each tier's
+//! tombstoned ids, and brute-forces L0 (which needs no ids).
 //!
 //! A stripe assigns ids in increasing order, so every tier covers one
 //! contiguous id range and is rebuilt from that range of the stripe's
@@ -25,9 +29,11 @@
 //! changes a stripe.
 
 use crate::table::SubTable;
-use pubsub_core::{build_frozen, EngineKind, SnapshotEngine, ViewScratch};
-use pubsub_types::{Event, Subscription, SubscriptionId};
+use pubsub_core::{build_tier, record_phases, EngineKind, EngineStats, TierEngine, ViewScratch};
+use pubsub_index::{Phase1Batch, PredicateBitVec, PredicateId, PredicateIndex};
+use pubsub_types::{Event, Predicate, Subscription, SubscriptionId};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Subscriptions L0 collects before they are frozen into a tier.
 const L0_CAP: usize = 32;
@@ -47,13 +53,157 @@ fn level_for(n: usize) -> u32 {
         .expect("capacity saturates at usize::MAX")
 }
 
-/// An immutable engine and the ids of the subscriptions it was built from.
-/// The engine knows each subscription by its rank in `ids`, so its
-/// id-indexed tables are as long as the tier, not as the stripe's id space.
+/// The broker-wide predicate registry every tier is built against: one
+/// [`PredicateIndex`], shared by `Arc` with the snapshot that publishes it,
+/// and per id the number of tiers in the writer's state that name it.
+///
+/// An id is freed, and so may be recycled, at the flip that drops its last
+/// naming tier; the index changes only then and when a tier needs a
+/// predicate it lacks. A published index is never edited: readers pinned on
+/// an older snapshot keep evaluating theirs. The writer edits the index one
+/// flip behind instead (`spare`), once no snapshot holds it, after replaying
+/// the edits it missed (`lag`), so an edit costs its own size; it copies the
+/// newest index only while a reader still pins the spare.
+pub(crate) struct Registry {
+    /// The newest index; the published snapshot shares it once flipped.
+    index: Arc<PredicateIndex>,
+    /// The index `index` replaced, missing the edits in `lag`.
+    spare: Option<Arc<PredicateIndex>>,
+    lag: Vec<Edit>,
+    /// Per id: tiers in the writer's state that name it.
+    naming_tiers: Vec<u32>,
+    /// Per id: the build that last named it, so a tier counts each of its
+    /// predicates once.
+    named_by: Vec<u64>,
+    /// Tier builds started so far.
+    builds: u64,
+    /// Ids whose last naming tier was dropped, freed at the next flip
+    /// unless a build named them again.
+    unnamed: Vec<PredicateId>,
+}
+
+/// One edit of the index, replayed on the spare.
+enum Edit {
+    Intern(Predicate, PredicateId),
+    Release(PredicateId),
+}
+
+impl Edit {
+    fn apply(&self, index: &mut PredicateIndex) {
+        match *self {
+            Edit::Intern(pred, id) => {
+                let got = index.intern(pred);
+                debug_assert_eq!(got, id, "replay assigns the same ids");
+            }
+            Edit::Release(id) => {
+                index.release(id);
+            }
+        }
+    }
+}
+
+impl Registry {
+    pub(crate) fn new() -> Self {
+        Self {
+            index: Arc::default(),
+            spare: None,
+            lag: Vec::new(),
+            naming_tiers: Vec::new(),
+            named_by: Vec::new(),
+            builds: 0,
+            unnamed: Vec::new(),
+        }
+    }
+
+    /// Starts a tier build: from here on, ids count once for the new tier.
+    fn begin_build(&mut self) {
+        self.builds += 1;
+    }
+
+    /// The id of `pred` for the tier being built, appended to the tier's
+    /// `named` list (and counted) the first time the build names it.
+    fn id_for(&mut self, pred: &Predicate, named: &mut Vec<PredicateId>) -> PredicateId {
+        let id = match self.index.lookup(pred) {
+            Some(id) if self.named_by[id.index()] == self.builds => return id,
+            Some(id) => id,
+            None => {
+                let id = self.writable().intern(*pred);
+                self.log(Edit::Intern(*pred, id));
+                if self.named_by.len() <= id.index() {
+                    self.named_by.resize(id.index() + 1, 0);
+                    self.naming_tiers.resize(id.index() + 1, 0);
+                }
+                id
+            }
+        };
+        self.named_by[id.index()] = self.builds;
+        self.naming_tiers[id.index()] += 1;
+        named.push(id);
+        id
+    }
+
+    /// The newest index, for an edit. Once a snapshot has published it, the
+    /// spare, brought up to date, takes its place.
+    fn writable(&mut self) -> &mut PredicateIndex {
+        if Arc::get_mut(&mut self.index).is_none() {
+            let next = match self.spare.take().map(Arc::try_unwrap) {
+                Some(Ok(mut spare)) => {
+                    self.lag.iter().for_each(|edit| edit.apply(&mut spare));
+                    spare
+                }
+                // No spare yet, or a reader still pins a snapshot holding it.
+                _ => (*self.index).clone(),
+            };
+            self.lag.clear();
+            self.spare = Some(std::mem::replace(&mut self.index, Arc::new(next)));
+        }
+        Arc::get_mut(&mut self.index).expect("no snapshot holds the new index")
+    }
+
+    /// Records an edit of the newest index for the spare to replay.
+    fn log(&mut self, edit: Edit) {
+        if self.spare.is_some() {
+            self.lag.push(edit);
+        }
+    }
+
+    /// Drops dropped tiers' references.
+    fn release(&mut self, tiers: impl IntoIterator<Item = Tier>) {
+        for tier in tiers {
+            for &id in &tier.frozen.preds {
+                self.naming_tiers[id.index()] -= 1;
+                if self.naming_tiers[id.index()] == 0 {
+                    self.unnamed.push(id);
+                }
+            }
+        }
+    }
+
+    /// The index to publish, with every id that no tier names any more
+    /// freed first.
+    pub(crate) fn published(&mut self) -> Arc<PredicateIndex> {
+        while let Some(id) = self.unnamed.pop() {
+            // An id listed twice is freed once.
+            if self.naming_tiers[id.index()] == 0 && self.index.refcount(id) > 0 {
+                self.writable().release(id);
+                self.log(Edit::Release(id));
+            }
+        }
+        Arc::clone(&self.index)
+    }
+}
+
+/// An immutable engine, the ids of the subscriptions it was built from and
+/// the registry ids it names. The engine knows each subscription by its
+/// rank in `ids`, so its id-indexed tables are as long as the tier, not as
+/// the stripe's id space.
 struct Frozen {
-    engine: Box<dyn SnapshotEngine>,
+    engine: Box<dyn TierEngine>,
     /// Ascending.
     ids: Vec<SubscriptionId>,
+    /// Distinct; each counted once in the registry while the writer holds
+    /// the tier.
+    preds: Vec<PredicateId>,
 }
 
 /// One frozen tier: the engine over the live subscriptions of the id range
@@ -80,11 +230,10 @@ impl Tier {
     }
 
     /// Turns the engine's ranks in `out[start..]` into subscription ids,
-    /// dropping tombstoned ones in place; returns how many were dropped.
-    fn resolve(&self, out: &mut Vec<SubscriptionId>, start: usize) -> usize {
-        let end = out.len();
+    /// dropping tombstoned ones in place.
+    fn resolve(&self, out: &mut Vec<SubscriptionId>, start: usize) {
         let mut w = start;
-        for r in start..end {
+        for r in start..out.len() {
             let id = self.frozen.ids[out[r].index()];
             if self.dead.binary_search(&id).is_err() {
                 out[w] = id;
@@ -92,7 +241,6 @@ impl Tier {
             }
         }
         out.truncate(w);
-        end - w
     }
 }
 
@@ -113,7 +261,7 @@ pub(crate) struct ShardSnap {
 
 impl ShardSnap {
     /// The stripe's live set in `table`, frozen as a single base.
-    pub(crate) fn frozen(kind: EngineKind, table: &SubTable) -> Self {
+    pub(crate) fn frozen(kind: EngineKind, table: &SubTable, preds: &mut Registry) -> Self {
         let mut snap = Self {
             kind,
             tiers: Vec::new(),
@@ -121,20 +269,21 @@ impl ShardSnap {
             l0_from: SubscriptionId(0),
             built: 0,
         };
-        snap.freeze(table);
+        snap.freeze(table, preds);
         snap
     }
 
     /// Rebuilds the whole stripe as one base from the table's live set,
     /// clearing L0 and every tombstone. Called under the writer lock, off
     /// the read path.
-    pub(crate) fn freeze(&mut self, table: &SubTable) {
+    pub(crate) fn freeze(&mut self, table: &SubTable, preds: &mut Registry) {
         let hi = table.peek_next_id();
-        self.tiers.clear();
+        let old = std::mem::take(&mut self.tiers);
         self.l0.clear();
         self.l0_from = hi;
-        let base = self.build(table, SubscriptionId(0), hi, level_for(table.len()));
+        let base = self.build(table, preds, SubscriptionId(0), hi, level_for(table.len()));
         self.tiers.extend(base);
+        preds.release(old);
     }
 
     /// Whether the stripe is a single base with no L0 and no tombstones.
@@ -155,18 +304,24 @@ impl ShardSnap {
         id: SubscriptionId,
         sub: Arc<Subscription>,
         table: &SubTable,
+        preds: &mut Registry,
     ) {
         debug_assert!(self.is_unfrozen(id), "tier ranges need ascending ids");
         self.l0.push((id, sub));
         if self.l0.len() >= L0_CAP {
-            self.flush(table);
+            self.flush(table, preds);
         }
     }
 
     /// Records a removal (explicit unsubscribe or validity expiry): an L0
     /// entry is dropped in place; a tier gains a tombstone and is rebuilt
     /// alone once more than 1/8 of it is dead.
-    pub(crate) fn note_remove(&mut self, id: SubscriptionId, table: &SubTable) {
+    pub(crate) fn note_remove(
+        &mut self,
+        id: SubscriptionId,
+        table: &SubTable,
+        preds: &mut Registry,
+    ) {
         if self.is_unfrozen(id) {
             if let Some(pos) = self.l0.iter().position(|&(d, _)| d == id) {
                 self.l0.swap_remove(pos);
@@ -183,12 +338,11 @@ impl ShardSnap {
         }
         if dead.len() * GROWTH > tier.len() {
             let (lo, hi, level) = (tier.lo, tier.hi, tier.level);
-            match self.build(table, lo, hi, level) {
-                Some(rebuilt) => self.tiers[i] = rebuilt,
-                None => {
-                    self.tiers.remove(i);
-                }
-            }
+            let old = match self.build(table, preds, lo, hi, level) {
+                Some(rebuilt) => std::mem::replace(&mut self.tiers[i], rebuilt),
+                None => self.tiers.remove(i),
+            };
+            preds.release([old]);
         }
     }
 
@@ -196,7 +350,7 @@ impl ShardSnap {
     /// tier, each level's tier is absorbed until the lot fits a level's
     /// capacity, and the absorbed suffix of the id space is rebuilt as one
     /// tier at that level.
-    fn flush(&mut self, table: &SubTable) {
+    fn flush(&mut self, table: &SubTable, preds: &mut Registry) {
         let mut carry = self.l0.len();
         let mut keep = self.tiers.len();
         let mut level = 0;
@@ -212,31 +366,48 @@ impl ShardSnap {
         }
         let lo = self.tiers.get(keep).map_or(self.l0_from, |t| t.lo);
         let hi = table.peek_next_id();
-        self.tiers.truncate(keep);
+        let absorbed = self.tiers.split_off(keep);
         self.l0.clear();
         self.l0_from = hi;
-        let merged = self.build(table, lo, hi, level);
+        let merged = self.build(table, preds, lo, hi, level);
         self.tiers.extend(merged);
+        preds.release(absorbed);
     }
 
-    /// Builds one tier from the table's live subscriptions in `[lo, hi)`;
-    /// `None` when the range holds none.
+    /// Builds one tier from the table's live subscriptions in `[lo, hi)`
+    /// against the registry's ids; `None` when the range holds none. The
+    /// caller releases the tiers it replaces only after the build, so the
+    /// predicates they share keep their ids.
     fn build(
         &mut self,
         table: &SubTable,
+        preds: &mut Registry,
         lo: SubscriptionId,
         hi: SubscriptionId,
         level: u32,
     ) -> Option<Tier> {
-        let mut engine = build_frozen(self.kind);
+        preds.begin_build();
         let mut ids = Vec::new();
-        engine.rebuild(&mut table.range(lo, hi).map(|(id, sub)| {
-            ids.push(id);
-            (SubscriptionId(ids.len() as u32 - 1), sub)
-        }));
+        let mut named = Vec::new();
+        let engine = build_tier(
+            self.kind,
+            &mut table.range(lo, hi).map(|(id, sub)| {
+                ids.push(id);
+                let pred_ids = sub.predicates().iter();
+                let pred_ids = pred_ids.map(|p| preds.id_for(p, &mut named)).collect();
+                (SubscriptionId(ids.len() as u32 - 1), sub, pred_ids)
+            }),
+        );
         self.built += ids.len() as u64;
-        (!ids.is_empty()).then(|| Tier {
-            frozen: Arc::new(Frozen { engine, ids }),
+        if ids.is_empty() {
+            return None;
+        }
+        Some(Tier {
+            frozen: Arc::new(Frozen {
+                engine,
+                ids,
+                preds: named,
+            }),
             level,
             lo,
             hi,
@@ -255,71 +426,46 @@ impl ShardSnap {
         self.tiers.iter().map(|t| (t.len(), t.dead.len())).collect()
     }
 
-    /// Matches one event: every tier through its read-only view, its
-    /// ranks resolved to ids minus its tombstones, plus the brute-forced L0. Appends to `out` in no
-    /// particular order (the caller sorts the merged publish result).
-    pub(crate) fn match_into(
+    /// Phase 2 of one event on this stripe, given the broker-wide phase-1
+    /// output: every tier's phase 2, its ranks resolved to ids minus its
+    /// tombstones, plus the brute-forced L0. Appends to `out` in no
+    /// particular order (the caller sorts the merged publish result);
+    /// returns the subscriptions checked.
+    fn match_into(
         &self,
         event: &Event,
+        bits: &PredicateBitVec,
+        satisfied: &[PredicateId],
         scratch: &mut ViewScratch,
         out: &mut Vec<SubscriptionId>,
-    ) {
-        let mut dropped = 0;
+    ) -> u64 {
+        let mut checked = self.l0.len() as u64;
         for tier in &self.tiers {
             let start = out.len();
-            tier.frozen.engine.match_view(event, scratch, out);
-            dropped += tier.resolve(out, start);
+            checked += tier
+                .frozen
+                .engine
+                .phase2(event, bits, satisfied, scratch, out);
+            tier.resolve(out, start);
         }
-        let added = self.match_l0(event, out);
-        self.account(scratch, 1, added, dropped);
-    }
-
-    /// Batched [`ShardSnap::match_into`]: appends each event's matches to
-    /// the parallel vector of `out`, using `buf` (reused across calls) for
-    /// the tiers' batch results.
-    pub(crate) fn match_batch_into(
-        &self,
-        events: &[Event],
-        scratch: &mut ViewScratch,
-        buf: &mut Vec<Vec<SubscriptionId>>,
-        out: &mut [Vec<SubscriptionId>],
-    ) {
-        let mut dropped = 0;
-        for tier in &self.tiers {
-            tier.frozen.engine.match_batch_view(events, scratch, buf);
-            for (dst, src) in out.iter_mut().zip(buf.iter()) {
-                let start = dst.len();
-                dst.extend_from_slice(src);
-                dropped += tier.resolve(dst, start);
-            }
-        }
-        let added = events
-            .iter()
-            .zip(out.iter_mut())
-            .map(|(event, dst)| self.match_l0(event, dst))
-            .sum();
-        self.account(scratch, events.len(), added, dropped);
-    }
-
-    /// Brute-forces L0 against `event`; returns how many matched.
-    fn match_l0(&self, event: &Event, out: &mut Vec<SubscriptionId>) -> usize {
-        let before = out.len();
         out.extend(
             self.l0
                 .iter()
                 .filter(|(_, sub)| sub.matches_event(event))
                 .map(|&(id, _)| id),
         );
-        out.len() - before
+        checked
     }
+}
 
-    /// The engines recorded their own work; account for the snapshot's
-    /// corrections over `events` events (L0 hits and checks, tombstoned
-    /// hits) so the aggregate reflects what was delivered.
-    fn account(&self, scratch: &mut ViewScratch, events: usize, added: usize, dropped: usize) {
-        scratch.stats.matches = scratch.stats.matches + added as u64 - dropped as u64;
-        scratch.stats.subscriptions_checked += (self.l0.len() * events) as u64;
-    }
+/// Per-thread publish scratch: the broker-wide phase-1 output and the
+/// tiers' phase-2 buffers.
+#[derive(Default)]
+pub(crate) struct ReadScratch {
+    bits: PredicateBitVec,
+    satisfied: Vec<PredicateId>,
+    batch: Phase1Batch,
+    view: ViewScratch,
 }
 
 /// One consistent cut of the whole broker, published via
@@ -327,6 +473,83 @@ impl ShardSnap {
 /// copies `Arc` handles only.
 pub(crate) struct BrokerSnapshot {
     pub(crate) shards: Vec<ShardSnap>,
+    /// The registry's index as of this cut: it names every predicate id
+    /// the cut's tiers use.
+    pub(crate) preds: Arc<PredicateIndex>,
+}
+
+impl BrokerSnapshot {
+    /// Matches one event, appending its matches to `out` in no particular
+    /// order: phase 1 once against the cut's index, then every stripe's
+    /// phase 2 on its output. Returns the event's stats.
+    pub(crate) fn match_into(
+        &self,
+        event: &Event,
+        s: &mut ReadScratch,
+        out: &mut Vec<SubscriptionId>,
+    ) -> EngineStats {
+        let start = out.len();
+        let t0 = Instant::now();
+        s.satisfied.clear();
+        self.preds.eval_into(event, &mut s.bits, &mut s.satisfied);
+        let t1 = Instant::now();
+        let checked = self.phase2(event, &s.bits, &s.satisfied, &mut s.view, out);
+        s.bits.clear();
+        let phase2 = t1.elapsed().as_nanos() as u64;
+        let mut stats = EngineStats::default();
+        let matched = (out.len() - start) as u64;
+        record_phases(&mut stats, nanos(t0, t1), phase2, checked, matched);
+        stats
+    }
+
+    /// Batched [`BrokerSnapshot::match_into`]: one attribute-major phase 1
+    /// for the whole batch, then per event materialize and phase 2,
+    /// appending to the parallel vector of `out`.
+    pub(crate) fn match_batch_into(
+        &self,
+        events: &[Event],
+        s: &mut ReadScratch,
+        out: &mut [Vec<SubscriptionId>],
+    ) -> EngineStats {
+        let t0 = Instant::now();
+        self.preds.eval_batch_into(events, &mut s.batch);
+        // Attribute the amortised phase-1 cost evenly across the batch.
+        let phase1 = nanos(t0, Instant::now()) / events.len().max(1) as u64;
+        let mut stats = EngineStats::default();
+        for (i, (event, dst)) in events.iter().zip(out.iter_mut()).enumerate() {
+            let start = dst.len();
+            let tm = Instant::now();
+            self.preds.materialize(&mut s.batch, i);
+            let t2 = Instant::now();
+            let (bits, satisfied) = (s.batch.bits(i), s.batch.satisfied(i));
+            let checked = self.phase2(event, bits, satisfied, &mut s.view, dst);
+            s.batch.clear_event(i);
+            let phase2 = t2.elapsed().as_nanos() as u64;
+            let matched = (dst.len() - start) as u64;
+            record_phases(&mut stats, phase1 + nanos(tm, t2), phase2, checked, matched);
+        }
+        stats
+    }
+
+    /// Every stripe's phase 2 on one event's phase-1 output; returns the
+    /// subscriptions checked.
+    fn phase2(
+        &self,
+        event: &Event,
+        bits: &PredicateBitVec,
+        satisfied: &[PredicateId],
+        view: &mut ViewScratch,
+        out: &mut Vec<SubscriptionId>,
+    ) -> u64 {
+        let shards = self.shards.iter();
+        shards
+            .map(|shard| shard.match_into(event, bits, satisfied, view, out))
+            .sum()
+    }
+}
+
+fn nanos(from: Instant, to: Instant) -> u64 {
+    (to - from).as_nanos() as u64
 }
 
 /// Point-in-time view of the RCU publish machinery, surfaced by
@@ -350,6 +573,9 @@ pub struct RcuStatus {
     pub l0: usize,
     /// Subscriptions fed to engine builds since the broker was created.
     pub built: u64,
+    /// Predicates in the published snapshot's broker-wide index: those its
+    /// frozen tiers name (L0 needs none).
+    pub predicates: usize,
 }
 
 #[cfg(test)]

@@ -3,21 +3,24 @@
 //! The matching engines are single-writer structures. `SharedBroker` splits
 //! the subscription set across `N` stripes (`stripe = id mod N`), each a
 //! plain subscription table ([`crate::table::SubTable`]: ids, validities,
-//! expiry, clock) next to the [`ShardSnap`] published from it. All stripes
-//! live inside one writer mutex.
+//! expiry, clock) next to the [`ShardSnap`] published from it. All stripes,
+//! and the predicate registry their tiers share, live inside one writer
+//! mutex.
 //!
 //! **Publishes take no locks at all**: every mutation that changes a stripe
 //! publishes an immutable [`crate::rcu::BrokerSnapshot`] through an
 //! epoch-protected [`pubsub_core::RcuCell`], and publishers pin the current
-//! snapshot, match it with per-thread scratch ([`pubsub_core::MatchView`])
-//! and unpin — zero contention between concurrent publishers, and between
-//! publishers and mutators. Mutators serialize on the writer mutex, apply
-//! the change to the owning stripe's table, record it in that stripe's
-//! snapshot state (an L0 entry or a tombstone on a frozen tier; tiers merge
-//! geometrically, see [`crate::rcu`]), and flip the snapshot pointer if some
-//! stripe changed; old snapshots are reclaimed once every reader epoch has
-//! passed. The frozen tiers are the only engines this handle owns — a
-//! subscription is indexed once. See DESIGN.md §12 for the full protocol.
+//! snapshot, match it with per-thread scratch (phase 1 once against the
+//! snapshot's broker-wide predicate index, then every tier's phase 2 on its
+//! bit vector) and unpin — zero contention between concurrent publishers,
+//! and between publishers and mutators. Mutators serialize on the writer
+//! mutex, apply the change to the owning stripe's table, record it in that
+//! stripe's snapshot state (an L0 entry or a tombstone on a frozen tier;
+//! tiers merge geometrically, see [`crate::rcu`]), and flip the snapshot
+//! pointer if some stripe changed; old snapshots are reclaimed once every
+//! reader epoch has passed. The frozen tiers are the only engines this
+//! handle owns — a subscription is indexed once, a predicate once. See
+//! DESIGN.md §12 for the full protocol.
 //!
 //! Lock order, stated once: `writer < vocab < sessions < wal`. Every
 //! multi-lock path acquires in that order.
@@ -30,19 +33,20 @@
 //!   stripe in a single flip (none when nothing expires).
 //! * Each stripe's engine keeps stripe-local optimizer statistics (the
 //!   dynamic algorithm clusters each partition independently).
-//! * Attribute/string interning lives in one shared [`Vocabulary`] so ids
-//!   mean the same thing on every stripe.
+//! * Attribute/string interning lives in one shared [`Vocabulary`], and
+//!   predicate interning in one registry, so ids mean the same thing on
+//!   every stripe.
 //!
 //! The stripes are the tree's one way to partition subscriptions: a single
 //! [`crate::Broker`] is one engine on one thread, and `SharedBroker` is what
 //! many threads drive.
 
 use crate::durable::{BrokerError, DurabilityStatus};
-use crate::rcu::{BrokerSnapshot, RcuStatus, ShardSnap};
+use crate::rcu::{BrokerSnapshot, RcuStatus, ReadScratch, Registry, ShardSnap};
 use crate::table::SubTable;
 use crate::time::{LogicalTime, Validity};
 use parking_lot::Mutex;
-use pubsub_core::{EngineKind, EngineStats, RcuCell, ViewScratch};
+use pubsub_core::{EngineKind, EngineStats, RcuCell};
 use pubsub_durability::{
     replication, DurabilityConfig, Lsn, Recovered, RecoveryReport, SnapshotState, Wal, WalError,
     WalOp,
@@ -58,23 +62,15 @@ use std::sync::Arc;
 /// Snapshot pointer flips performed by the writer path.
 static SNAPSHOT_FLIPS: Counter = Counter::new("broker.shared.snapshot_flips");
 
-/// Per-thread scratch for the publish paths: the [`ViewScratch`] the read
-/// path matches with, plus recycled per-tier result buffers for the batch
-/// path. Thread-local (not a shared pool), so concurrent publishers never
-/// serialize on scratch acquisition.
-#[derive(Default)]
-struct PublishScratch {
-    view: ViewScratch,
-    tier_results: Vec<Vec<SubscriptionId>>,
-}
-
 thread_local! {
-    static PUBLISH_SCRATCH: RefCell<PublishScratch> = RefCell::new(PublishScratch::default());
+    /// Per-thread publish scratch: thread-local, not a shared pool, so
+    /// concurrent publishers never serialize on scratch acquisition.
+    static PUBLISH_SCRATCH: RefCell<ReadScratch> = RefCell::new(ReadScratch::default());
 }
 
-/// Relaxed aggregate of the per-thread [`ViewScratch`] engine stats folded
-/// in after each publish: the frozen tiers are matched through shared
-/// references, so per-event counts and phase timings live here.
+/// Relaxed aggregate of the per-publish engine stats: the frozen tiers are
+/// matched through shared references, so per-event counts and phase
+/// timings live here.
 #[derive(Default)]
 struct RcuStatsAgg {
     events: AtomicU64,
@@ -294,23 +290,48 @@ impl SessionTable {
 }
 
 /// One stripe of the subscription set: the authoritative table and the
-/// snapshot state published from it. Lives inside the writer mutex.
+/// snapshot state published from it.
 struct Stripe {
     table: SubTable,
     snap: ShardSnap,
 }
 
-impl Stripe {
-    /// Wraps `table`, freezing its live set as the stripe's first base.
-    fn new(table: SubTable, kind: EngineKind) -> Self {
-        let snap = ShardSnap::frozen(kind, &table);
-        Stripe { table, snap }
+/// The authoritative subscription state, inside the writer mutex: the
+/// stripes and the broker-wide predicate registry their tiers are built
+/// against.
+struct Writer {
+    stripes: Vec<Stripe>,
+    preds: Registry,
+}
+
+impl Writer {
+    /// Wraps `tables`, freezing each live set as its stripe's first base.
+    fn new(tables: Vec<SubTable>, kind: EngineKind) -> Self {
+        let mut preds = Registry::new();
+        let stripes = tables
+            .into_iter()
+            .map(|table| Stripe {
+                snap: ShardSnap::frozen(kind, &table, &mut preds),
+                table,
+            })
+            .collect();
+        Writer { stripes, preds }
     }
 
-    fn insert(&mut self, sub: Subscription, validity: Validity) -> SubscriptionId {
+    /// The stripe owning `id` (ids are striped across stripes).
+    fn stripe_of(&self, id: SubscriptionId) -> usize {
+        id.0 as usize % self.stripes.len()
+    }
+
+    fn contains(&self, id: SubscriptionId) -> bool {
+        self.stripes[self.stripe_of(id)].table.contains(id)
+    }
+
+    fn insert(&mut self, stripe: usize, sub: Subscription, validity: Validity) -> SubscriptionId {
         let sub = Arc::new(sub);
-        let id = self.table.insert(Arc::clone(&sub), validity);
-        self.snap.note_insert(id, sub, &self.table);
+        let Stripe { table, snap } = &mut self.stripes[stripe];
+        let id = table.insert(Arc::clone(&sub), validity);
+        snap.note_insert(id, sub, table, &mut self.preds);
         id
     }
 
@@ -318,33 +339,74 @@ impl Stripe {
     /// assigned.
     fn restore_one(&mut self, id: SubscriptionId, sub: Subscription, validity: Validity) {
         let sub = Arc::new(sub);
-        if self.table.restore_one(id, Arc::clone(&sub), validity) || !self.snap.is_unfrozen(id) {
+        let i = self.stripe_of(id);
+        let Stripe { table, snap } = &mut self.stripes[i];
+        if table.restore_one(id, Arc::clone(&sub), validity) || !snap.is_unfrozen(id) {
             // A duplicate id (damaged log, skip policy) replaced a record
             // the snapshot may hold, or an out-of-order id fell inside a
             // frozen tier's range: re-freeze.
-            self.snap.freeze(&self.table);
+            snap.freeze(table, &mut self.preds);
         } else {
-            self.snap.note_insert(id, sub, &self.table);
+            snap.note_insert(id, sub, table, &mut self.preds);
         }
     }
 
     fn remove(&mut self, id: SubscriptionId) -> bool {
-        let removed = self.table.remove(id);
+        let i = self.stripe_of(id);
+        let Stripe { table, snap } = &mut self.stripes[i];
+        let removed = table.remove(id);
         if removed {
-            self.snap.note_remove(id, &self.table);
+            snap.note_remove(id, table, &mut self.preds);
         }
         removed
     }
 
-    /// Advances the stripe's clock, tombstoning every expiry. Returns the
+    /// Advances every stripe's clock, tombstoning every expiry. Returns the
     /// number of expired subscriptions.
     fn advance_to(&mut self, t: LogicalTime) -> usize {
         let mut expired = Vec::new();
-        self.table.advance_to(t, |id| expired.push(id));
-        for &id in &expired {
-            self.snap.note_remove(id, &self.table);
+        for Stripe { table, snap } in &mut self.stripes {
+            let from = expired.len();
+            table.advance_to(t, |id| expired.push(id));
+            for &id in &expired[from..] {
+                snap.note_remove(id, table, &mut self.preds);
+            }
         }
         expired.len()
+    }
+
+    /// Current logical time (all stripes tick together).
+    fn now(&self) -> LogicalTime {
+        self.stripes[0].table.now()
+    }
+
+    /// Replaces every stripe's table and re-freezes it.
+    fn reset(&mut self, tables: Vec<SubTable>) {
+        for (stripe, table) in self.stripes.iter_mut().zip(tables) {
+            stripe.table = table;
+            stripe.snap.freeze(&stripe.table, &mut self.preds);
+        }
+    }
+
+    /// Re-freezes every stripe that is not a single clean base; returns
+    /// whether any was.
+    fn compact(&mut self) -> bool {
+        let mut changed = false;
+        for Stripe { table, snap } in &mut self.stripes {
+            if !snap.is_compact() {
+                snap.freeze(table, &mut self.preds);
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// One consistent cut of the stripes' snapshot states and the registry.
+    fn snapshot(&mut self) -> Arc<BrokerSnapshot> {
+        Arc::new(BrokerSnapshot {
+            shards: self.stripes.iter().map(|s| s.snap.clone()).collect(),
+            preds: self.preds.published(),
+        })
     }
 }
 
@@ -380,7 +442,7 @@ struct Inner {
     /// The authoritative subscription state, first in the lock order.
     /// Mutators update it in place and publish a clone of the stripes'
     /// snapshots through `published`.
-    writer: Mutex<Vec<Stripe>>,
+    writer: Mutex<Writer>,
     /// The epoch-protected snapshot the publish path reads.
     published: RcuCell<BrokerSnapshot>,
     /// Snapshot flips, mirrored outside the metrics feature so `stats` can
@@ -388,13 +450,6 @@ struct Inner {
     flips: AtomicU64,
     /// Aggregated read-path engine stats.
     rcu_stats: RcuStatsAgg,
-}
-
-/// One consistent cut of the stripes' snapshot states.
-fn snapshot_of(stripes: &[Stripe]) -> Arc<BrokerSnapshot> {
-    Arc::new(BrokerSnapshot {
-        shards: stripes.iter().map(|stripe| stripe.snap.clone()).collect(),
-    })
 }
 
 /// Captures the full broker state for a point-in-time snapshot. Caller
@@ -547,10 +602,7 @@ impl SharedBroker {
         sessions: SessionTable,
         durable: Option<DurableState>,
     ) -> Self {
-        let stripes: Vec<Stripe> = tables
-            .into_iter()
-            .map(|table| Stripe::new(table, kind))
-            .collect();
+        let mut writer = Writer::new(tables, kind);
         Self {
             inner: Arc::new(Inner {
                 vocab: Mutex::new(vocab),
@@ -559,9 +611,9 @@ impl SharedBroker {
                 durable,
                 follower: AtomicBool::new(false),
                 kind,
-                stripes: stripes.len(),
-                published: RcuCell::new(snapshot_of(&stripes)),
-                writer: Mutex::new(stripes),
+                stripes: writer.stripes.len(),
+                published: RcuCell::new(writer.snapshot()),
+                writer: Mutex::new(writer),
                 flips: AtomicU64::new(0),
                 rcu_stats: RcuStatsAgg::default(),
             }),
@@ -678,11 +730,6 @@ impl SharedBroker {
         self.inner.kind
     }
 
-    /// The shard owning `id` (ids are striped across shards).
-    fn shard_of(&self, id: SubscriptionId) -> usize {
-        id.0 as usize % self.inner.stripes
-    }
-
     /// The stripe the next subscription lands on (round-robin keeps stripes
     /// balanced).
     fn next_stripe(&self) -> usize {
@@ -693,29 +740,25 @@ impl SharedBroker {
 
     /// Publishes the writer state as a new immutable snapshot. Caller holds
     /// the writer lock, which serializes flips.
-    fn flip(&self, stripes: &[Stripe]) {
-        self.inner.published.publish(snapshot_of(stripes));
+    fn flip(&self, writer: &mut Writer) {
+        self.inner.published.publish(writer.snapshot());
         self.inner.flips.fetch_add(1, Ordering::Relaxed);
         SNAPSHOT_FLIPS.inc();
-    }
-
-    /// Folds a read's scratch stats into the broker-level aggregate.
-    fn fold_stats(&self, view: &mut ViewScratch) {
-        self.inner.rcu_stats.fold(view.stats);
-        view.stats.reset();
     }
 
     /// Point-in-time view of the RCU machinery: flips, epoch, deferred
     /// reclamation, pinned readers, and the published tier shape.
     pub fn rcu_status(&self) -> RcuStatus {
-        let (tiers, l0, built) = {
+        let (tiers, l0, built, predicates) = {
             let snap = self.inner.published.pin();
-            snap.shards
+            let (tiers, l0, built) = snap
+                .shards
                 .iter()
                 .map(ShardSnap::shape)
                 .fold((0, 0, 0), |(t, l, b), (st, sl, sb)| {
                     (t + st, l + sl, b + sb)
-                })
+                });
+            (tiers, l0, built, snap.preds.len())
         };
         RcuStatus {
             flips: self.inner.flips.load(Ordering::Relaxed),
@@ -725,6 +768,7 @@ impl SharedBroker {
             tiers,
             l0,
             built,
+            predicates,
         }
     }
 
@@ -741,16 +785,11 @@ impl SharedBroker {
     /// is useful before latency measurements and in quiet periods; the
     /// tiers keep publishes fast without it.
     pub fn compact(&self) {
-        let mut stripes = self.inner.writer.lock();
-        let mut changed = false;
-        for stripe in stripes.iter_mut().filter(|s| !s.snap.is_compact()) {
-            stripe.snap.freeze(&stripe.table);
-            changed = true;
+        let mut writer = self.inner.writer.lock();
+        if writer.compact() {
+            self.flip(&mut writer);
         }
-        if changed {
-            self.flip(&stripes);
-        }
-        drop(stripes);
+        drop(writer);
         self.inner.published.reclaim();
     }
 
@@ -877,15 +916,15 @@ impl SharedBroker {
         validity: Validity,
     ) -> Result<SubscriptionId, BrokerError> {
         self.check_writable()?;
-        let mut stripes = self.inner.writer.lock();
-        let stripe = &mut stripes[self.next_stripe()];
+        let mut writer = self.inner.writer.lock();
+        let stripe = self.next_stripe();
         if let Some(durable) = &self.inner.durable {
             durable.check()?;
             // Log under the writer lock so WAL order equals apply order;
             // the id is peeked (not consumed) so a failed append leaves no
             // gap.
             let op = WalOp::Subscribe {
-                id: stripe.table.peek_next_id(),
+                id: writer.stripes[stripe].table.peek_next_id(),
                 sub: sub.clone(),
                 validity,
             };
@@ -893,8 +932,8 @@ impl SharedBroker {
                 return Err(durable.degrade(e));
             }
         }
-        let id = stripe.insert(sub, validity);
-        self.flip(&stripes);
+        let id = writer.insert(stripe, sub, validity);
+        self.flip(&mut writer);
         Ok(id)
     }
 
@@ -913,20 +952,19 @@ impl SharedBroker {
     /// logging anything.
     pub fn try_unsubscribe(&self, id: SubscriptionId) -> Result<bool, BrokerError> {
         self.check_writable()?;
-        let mut stripes = self.inner.writer.lock();
-        let stripe = &mut stripes[self.shard_of(id)];
+        let mut writer = self.inner.writer.lock();
         if let Some(durable) = &self.inner.durable {
             durable.check()?;
-            if !stripe.table.contains(id) {
+            if !writer.contains(id) {
                 return Ok(false);
             }
             if let Err(e) = durable.wal.lock().append(&WalOp::Unsubscribe(id)) {
                 return Err(durable.degrade(e));
             }
         }
-        let removed = stripe.remove(id);
+        let removed = writer.remove(id);
         if removed {
-            self.flip(&stripes);
+            self.flip(&mut writer);
         }
         Ok(removed)
     }
@@ -938,8 +976,12 @@ impl SharedBroker {
 
     /// Live subscriptions per shard.
     pub fn shard_subscription_counts(&self) -> Vec<usize> {
-        let stripes = self.inner.writer.lock();
-        stripes.iter().map(|stripe| stripe.table.len()).collect()
+        let writer = self.inner.writer.lock();
+        writer
+            .stripes
+            .iter()
+            .map(|stripe| stripe.table.len())
+            .collect()
     }
 
     /// Calls `f` on every live subscription with its id and validity (one
@@ -948,7 +990,8 @@ impl SharedBroker {
         &self,
         mut f: impl FnMut(SubscriptionId, &Subscription, Validity),
     ) {
-        live_rows(&self.inner.writer.lock()).for_each(|(id, sub, validity)| f(id, sub, validity));
+        let writer = self.inner.writer.lock();
+        live_rows(&writer.stripes).for_each(|(id, sub, validity)| f(id, sub, validity));
     }
 
     // ---- durable sessions ------------------------------------------------
@@ -985,15 +1028,15 @@ impl SharedBroker {
         validity: Validity,
     ) -> Result<SubscriptionId, BrokerError> {
         self.check_writable()?;
-        let mut stripes = self.inner.writer.lock();
+        let mut writer = self.inner.writer.lock();
         let mut sessions = self.inner.sessions.lock();
         if !sessions.contains(token) {
             return Err(BrokerError::UnknownSession(token));
         }
-        let stripe = &mut stripes[self.next_stripe()];
+        let stripe = self.next_stripe();
         if let Some(durable) = &self.inner.durable {
             durable.check()?;
-            let id = stripe.table.peek_next_id();
+            let id = writer.stripes[stripe].table.peek_next_id();
             let mut wal = durable.wal.lock();
             if let Err(e) = wal.append(&WalOp::SessionBind { token, id }) {
                 return Err(durable.degrade(e));
@@ -1009,9 +1052,9 @@ impl SharedBroker {
                 return Err(durable.degrade(e));
             }
         }
-        let id = stripe.insert(sub, validity);
+        let id = writer.insert(stripe, sub, validity);
         sessions.bind(token, id.0);
-        self.flip(&stripes);
+        self.flip(&mut writer);
         Ok(id)
     }
 
@@ -1028,7 +1071,7 @@ impl SharedBroker {
         id: SubscriptionId,
     ) -> Result<bool, BrokerError> {
         self.check_writable()?;
-        let mut stripes = self.inner.writer.lock();
+        let mut writer = self.inner.writer.lock();
         let mut sessions = self.inner.sessions.lock();
         if !sessions.contains(token) {
             return Err(BrokerError::UnknownSession(token));
@@ -1036,10 +1079,9 @@ impl SharedBroker {
         if sessions.owner_of(id.0) != Some(token) {
             return Ok(false);
         }
-        let stripe = &mut stripes[self.shard_of(id)];
         if let Some(durable) = &self.inner.durable {
             durable.check()?;
-            if !stripe.table.contains(id) {
+            if !writer.contains(id) {
                 // A binding to a dead id cannot arise at runtime (only from
                 // a torn log, repaired at open); drop it defensively.
                 sessions.release(token, id.0);
@@ -1053,10 +1095,10 @@ impl SharedBroker {
                 return Err(durable.degrade(e));
             }
         }
-        let removed = stripe.remove(id);
+        let removed = writer.remove(id);
         sessions.release(token, id.0);
         if removed {
-            self.flip(&stripes);
+            self.flip(&mut writer);
         }
         Ok(removed)
     }
@@ -1069,7 +1111,7 @@ impl SharedBroker {
     /// session costs one record. All removals land in a single RCU flip.
     pub fn try_session_reap(&self, token: u64) -> Result<Vec<SubscriptionId>, BrokerError> {
         self.check_writable()?;
-        let mut stripes = self.inner.writer.lock();
+        let mut writer = self.inner.writer.lock();
         let mut sessions = self.inner.sessions.lock();
         if !sessions.contains(token) {
             return Err(BrokerError::UnknownSession(token));
@@ -1086,10 +1128,10 @@ impl SharedBroker {
             .map(SubscriptionId)
             .collect();
         for &id in &ids {
-            stripes[self.shard_of(id)].remove(id);
+            writer.remove(id);
         }
         if !ids.is_empty() {
-            self.flip(&stripes);
+            self.flip(&mut writer);
         }
         Ok(ids)
     }
@@ -1132,25 +1174,18 @@ impl SharedBroker {
     }
 
     /// Publishes an event, appending the matched ids to `out` (sorted by id
-    /// within this publish): pin the current snapshot, match every shard's
-    /// view with this thread's scratch, unpin, sort. Nothing here blocks or
+    /// within this publish): pin the current snapshot, run phase 1 once and
+    /// every shard's phase 2 with this thread's scratch, unpin, sort. Nothing here blocks or
     /// contends — the pin is two atomic writes to a thread-owned slot — and
     /// nothing is allocated beyond what `out` needs.
     pub fn publish_into(&self, event: &Event, out: &mut Vec<SubscriptionId>) {
         crate::broker::PUBLISHES.inc();
         let start = out.len();
         let snap = self.inner.published.pin();
-        PUBLISH_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            for shard in &snap.shards {
-                shard.match_into(event, &mut scratch.view, out);
-            }
-            // Every shard view recorded the event; the aggregate counts it
-            // once.
-            scratch.view.stats.events = 1;
-            self.fold_stats(&mut scratch.view);
-        });
+        let stats =
+            PUBLISH_SCRATCH.with(|cell| snap.match_into(event, &mut cell.borrow_mut(), out));
         drop(snap);
+        self.inner.rcu_stats.fold(stats);
         out[start..].sort_unstable();
     }
 
@@ -1164,9 +1199,9 @@ impl SharedBroker {
     /// Batched publish into a caller-owned buffer (one inner vector per
     /// event, reused across calls). One snapshot pin covers the whole
     /// batch, so every event in it matches against the same consistent cut.
-    /// Per-tier scratch buffers are thread-local, so concurrent batch
-    /// publishers never serialize on scratch acquisition and the steady
-    /// state allocates nothing.
+    /// Phase 1 runs once for the whole batch. Scratch buffers are
+    /// thread-local, so concurrent batch publishers never serialize on
+    /// scratch acquisition and the steady state allocates nothing.
     pub fn publish_batch_into(&self, events: &[Event], out: &mut Vec<Vec<SubscriptionId>>) {
         out.resize_with(events.len(), Vec::new);
         out.truncate(events.len());
@@ -1178,16 +1213,10 @@ impl SharedBroker {
         }
         crate::broker::PUBLISHES.add(events.len() as u64);
         let snap = self.inner.published.pin();
-        PUBLISH_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            for shard in &snap.shards {
-                shard.match_batch_into(events, &mut scratch.view, &mut scratch.tier_results, out);
-            }
-            // Count each published event once, not once per shard view.
-            scratch.view.stats.events = events.len() as u64;
-            self.fold_stats(&mut scratch.view);
-        });
+        let stats =
+            PUBLISH_SCRATCH.with(|cell| snap.match_batch_into(events, &mut cell.borrow_mut(), out));
         drop(snap);
+        self.inner.rcu_stats.fold(stats);
         for dst in out.iter_mut() {
             dst.sort_unstable();
         }
@@ -1197,7 +1226,7 @@ impl SharedBroker {
 
     /// Current logical time (all shards tick together).
     pub fn now(&self) -> LogicalTime {
-        self.inner.writer.lock()[0].table.now()
+        self.inner.writer.lock().now()
     }
 
     /// Advances every shard's clock to `t`, expiring subscriptions whose
@@ -1241,8 +1270,8 @@ impl SharedBroker {
     /// lock is already held, so a due snapshot is a consistent cut.
     fn advance_locked(&self, t: Option<LogicalTime>) -> Result<usize, BrokerError> {
         self.check_writable()?;
-        let mut stripes = self.inner.writer.lock();
-        let now = stripes[0].table.now();
+        let mut writer = self.inner.writer.lock();
+        let now = writer.now();
         let t = t.unwrap_or_else(|| now.plus(1));
         if let Some(durable) = &self.inner.durable {
             durable.check()?;
@@ -1258,16 +1287,16 @@ impl SharedBroker {
         // All stripes' expiries land in the single flip below, so publishers
         // observe the clock advance atomically. The snapshot holds no clock:
         // an advance that expires nothing leaves it as it is.
-        let expired = stripes.iter_mut().map(|stripe| stripe.advance_to(t)).sum();
+        let expired = writer.advance_to(t);
         if expired > 0 {
-            self.flip(&stripes);
+            self.flip(&mut writer);
         }
         if let Some(durable) = &self.inner.durable {
             let vocab = self.inner.vocab.lock();
             let sessions = self.inner.sessions.lock();
             let mut wal = durable.wal.lock();
             if wal.wants_snapshot() {
-                let state = build_snapshot_state(&vocab, &sessions, &stripes);
+                let state = build_snapshot_state(&vocab, &sessions, &writer.stripes);
                 if let Err(e) = wal.snapshot(&state) {
                     // The advance itself is already durable; a failed
                     // snapshot only degrades the broker if it poisoned the
@@ -1353,11 +1382,11 @@ impl SharedBroker {
         self.check_writable()?;
         let durable = self.inner.durable.as_ref().ok_or(BrokerError::NotDurable)?;
         durable.check()?;
-        let stripes = self.inner.writer.lock();
+        let writer = self.inner.writer.lock();
         let vocab = self.inner.vocab.lock();
         let sessions = self.inner.sessions.lock();
         let mut wal = durable.wal.lock();
-        let state = build_snapshot_state(&vocab, &sessions, &stripes);
+        let state = build_snapshot_state(&vocab, &sessions, &writer.stripes);
         match wal.snapshot(&state) {
             Ok(path) => Ok(path),
             Err(e) => {
@@ -1394,7 +1423,7 @@ impl SharedBroker {
         if !self.is_follower() {
             return Err(BrokerError::NotFollower);
         }
-        let mut stripes = self.inner.writer.lock();
+        let mut writer = self.inner.writer.lock();
         let mut vocab = self.inner.vocab.lock();
         let mut sessions = self.inner.sessions.lock();
         durable.check()?;
@@ -1406,7 +1435,6 @@ impl SharedBroker {
                 got: first_lsn,
             });
         }
-        let n = stripes.len();
         // Whether any stripe changed: intern and session records alone
         // leave the published snapshot as it is.
         let mut changed = false;
@@ -1433,17 +1461,15 @@ impl SharedBroker {
                     vocab.string(&s);
                 }
                 WalOp::Subscribe { id, sub, validity } => {
-                    stripes[id.0 as usize % n].restore_one(id, sub, validity);
+                    writer.restore_one(id, sub, validity);
                     changed = true;
                 }
                 WalOp::Unsubscribe(id) => {
-                    changed |= stripes[id.0 as usize % n].remove(id);
+                    changed |= writer.remove(id);
                 }
                 WalOp::AdvanceTo(t) => {
-                    for stripe in stripes.iter_mut() {
-                        if t >= stripe.table.now() {
-                            changed |= stripe.advance_to(t) > 0;
-                        }
+                    if t >= writer.now() {
+                        changed |= writer.advance_to(t) > 0;
                     }
                 }
                 WalOp::SessionCreate { token } => sessions.create(token),
@@ -1453,7 +1479,7 @@ impl SharedBroker {
                     // One record, many removals — re-derived here exactly as
                     // at local replay.
                     for raw in sessions.reap(token) {
-                        changed |= stripes[raw as usize % n].remove(SubscriptionId(raw));
+                        changed |= writer.remove(SubscriptionId(raw));
                     }
                 }
             }
@@ -1461,7 +1487,7 @@ impl SharedBroker {
         let next = wal.next_lsn();
         drop(wal);
         if changed {
-            self.flip(&stripes);
+            self.flip(&mut writer);
         }
         Ok(next)
     }
@@ -1477,7 +1503,7 @@ impl SharedBroker {
         if !self.is_follower() {
             return Err(BrokerError::NotFollower);
         }
-        let mut stripes = self.inner.writer.lock();
+        let mut writer = self.inner.writer.lock();
         let mut vocab = self.inner.vocab.lock();
         let mut sessions = self.inner.sessions.lock();
         durable.check()?;
@@ -1488,15 +1514,12 @@ impl SharedBroker {
         let (new_wal, recovered) = Wal::open(&dir, config).map_err(BrokerError::Recovery)?;
         *wal = new_wal;
         let (new_vocab, tables, new_sessions) =
-            rebuild_state(stripes.len(), recovered.snapshot, recovered.ops);
+            rebuild_state(writer.stripes.len(), recovered.snapshot, recovered.ops);
         *vocab = new_vocab;
         *sessions = new_sessions;
-        for (stripe, table) in stripes.iter_mut().zip(tables) {
-            stripe.table = table;
-            stripe.snap.freeze(&stripe.table);
-        }
+        writer.reset(tables);
         drop(wal);
-        self.flip(&stripes);
+        self.flip(&mut writer);
         Ok(())
     }
 
@@ -1511,7 +1534,7 @@ impl SharedBroker {
         if !self.is_follower() {
             return Err(BrokerError::NotFollower);
         }
-        let stripes = self.inner.writer.lock();
+        let writer = self.inner.writer.lock();
         let _vocab = self.inner.vocab.lock();
         let mut sessions = self.inner.sessions.lock();
         durable.check()?;
@@ -1527,8 +1550,7 @@ impl SharedBroker {
         // leader-only repair runs: a binding whose `Subscribe` the stream
         // never delivered (the old leader died inside the pair) is now
         // definitively dangling, not merely in flight.
-        let n = stripes.len();
-        sessions.prune_dangling(|id| stripes[id as usize % n].table.contains(SubscriptionId(id)));
+        sessions.prune_dangling(|id| writer.contains(SubscriptionId(id)));
         drop(sessions);
         self.inner.follower.store(false, Ordering::Release);
         Ok(next)
@@ -1735,7 +1757,7 @@ mod tests {
 
         let mut rng = SmallRng::seed_from_u64(0x7135);
         ids.retain(|&id| !(rng.gen_bool(0.1) && broker.unsubscribe(id)));
-        for (len, dead) in broker.inner.writer.lock()[0].snap.tier_sizes() {
+        for (len, dead) in broker.inner.writer.lock().stripes[0].snap.tier_sizes() {
             assert!(dead * 8 <= len, "{dead} tombstones in a tier of {len}");
         }
         // One stripe assigns ids 0, 1, 2, … in load order.
@@ -1799,5 +1821,113 @@ mod tests {
         assert_eq!(follower.rcu_status().flips, flips + 1);
         drop(follower);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A reader pinned on an old snapshot evaluates that snapshot's own
+    /// copy of the predicate index. The writer churns until a dead
+    /// predicate's id names a new one, and the pinned reader's publishes
+    /// still equal the model at its cut.
+    #[test]
+    fn pinned_reader_keeps_its_cut_across_id_recycling() {
+        for kind in EngineKind::PAPER_ENGINES {
+            let broker = SharedBroker::new(kind, 1);
+            let attr = broker.attr("v");
+            let sub = |v: i64| Subscription::builder().eq(attr, v).build().unwrap();
+            let event = |v: i64| Event::builder().pair(attr, v).build().unwrap();
+            // A full L0 freezes into one tier naming 32 predicates.
+            let ids: Vec<SubscriptionId> = (0..32)
+                .map(|v| broker.subscribe(sub(v), Validity::forever()))
+                .collect();
+            let pinned = broker.inner.published.pin();
+
+            // Five tombstones pass 1/8 of the tier, which is rebuilt
+            // without their predicates; 32 fresh constants then freeze into
+            // a tier that mints ids, the freed ones among them.
+            for &id in &ids[..5] {
+                assert!(broker.unsubscribe(id));
+            }
+            for v in 100..132 {
+                broker.subscribe(sub(v), Validity::forever());
+            }
+            let current = broker.inner.published.pin();
+            let recycled = pinned.preds.iter().any(|(id, old)| {
+                current
+                    .preds
+                    .iter()
+                    .any(|(cid, new)| cid == id && new != old)
+            });
+            assert!(recycled, "{kind:?}: no id was recycled");
+            drop(current);
+
+            let mut scratch = ReadScratch::default();
+            for v in (0..32).chain(100..132) {
+                let mut got = Vec::new();
+                pinned.match_into(&event(v), &mut scratch, &mut got);
+                let want: Vec<SubscriptionId> = ids.get(v as usize).copied().into_iter().collect();
+                assert_eq!(got, want, "{kind:?}: pinned reader, value {v}");
+            }
+            drop(pinned);
+            assert!(broker.publish(&event(0)).is_empty(), "{kind:?}");
+            assert_eq!(broker.publish(&event(100)).len(), 1, "{kind:?}");
+        }
+    }
+
+    /// A predicate whose last naming tier was dropped awaits its free until
+    /// the flip. A build in the same writer operation that names it again
+    /// takes it back: here `compact()` rebuilds stripe 0 without constant 0,
+    /// and then stripe 1 freezes an L0 entry on it.
+    #[test]
+    fn a_predicate_named_again_keeps_its_id() {
+        for kind in EngineKind::PAPER_ENGINES {
+            let broker = SharedBroker::new(kind, 2);
+            let attr = broker.attr("v");
+            let sub = |v: i64| Subscription::builder().eq(attr, v).build().unwrap();
+            let event = |v: i64| Event::builder().pair(attr, v).build().unwrap();
+            // Subscribes alternate stripes: stripe 0 freezes 32 (constants
+            // 0, 2, .., 62) into a tier; stripe 1 keeps 31 in L0, the first
+            // on constant 0.
+            let ids: Vec<SubscriptionId> = (0..63i64)
+                .map(|i| {
+                    let v = if i == 1 { 0 } else { i };
+                    broker.subscribe(sub(v), Validity::forever())
+                })
+                .collect();
+            let status = broker.rcu_status();
+            assert_eq!((status.tiers, status.l0, status.predicates), (1, 31, 32));
+            assert!(broker.unsubscribe(ids[0]));
+            broker.compact();
+            let status = broker.rcu_status();
+            assert_eq!((status.tiers, status.l0), (2, 0), "{kind:?}");
+            assert_eq!(status.predicates, 62, "{kind:?}: 31 + 31, constant 0 once");
+            assert_eq!(broker.publish(&event(0)), vec![ids[1]], "{kind:?}");
+            for (i, &id) in ids.iter().enumerate().skip(2) {
+                assert_eq!(broker.publish(&event(i as i64)), vec![id], "{kind:?}");
+            }
+        }
+    }
+
+    /// `RcuStatus::predicates` counts what the published tiers name: a
+    /// tombstone keeps its predicate, and the rebuild that drops the last
+    /// tier naming it frees it at that flip.
+    #[test]
+    fn predicate_count_follows_the_tiers() {
+        let broker = SharedBroker::new(EngineKind::Dynamic, 1);
+        let attr = broker.attr("v");
+        let sub = |v: i64| Subscription::builder().eq(attr, v).build().unwrap();
+        let ids: Vec<SubscriptionId> = (0..32)
+            .map(|v| broker.subscribe(sub(v), Validity::forever()))
+            .collect();
+        assert_eq!(broker.rcu_status().predicates, 32);
+        assert!(broker.unsubscribe(ids[0]));
+        assert_eq!(broker.rcu_status().predicates, 32, "a tombstone");
+        broker.compact();
+        assert_eq!(broker.rcu_status().predicates, 31, "freed at compact");
+        // Four tombstones pass 1/8 of the 31-entry tier, which is rebuilt.
+        for &id in &ids[1..4] {
+            assert!(broker.unsubscribe(id));
+        }
+        assert_eq!(broker.rcu_status().predicates, 31);
+        assert!(broker.unsubscribe(ids[4]));
+        assert_eq!(broker.rcu_status().predicates, 27, "freed at the rebuild");
     }
 }

@@ -546,3 +546,132 @@ fn tiered_differential_history_matches_model_static() {
 fn tiered_differential_history_matches_model_dynamic() {
     tiered_differential_for(EngineKind::Dynamic);
 }
+
+/// Subscriptions per stripe on the 16 shared constants of the recycling
+/// history: past a level-0 tier's 256, so the base outlives every merge.
+const RECYCLE_SHARED_PER_STRIPE: usize = 400;
+/// Steps per stripe of the recycling history.
+const RECYCLE_STEPS_PER_STRIPE: usize = 1_500;
+/// First constant of the mortal subscriptions; shared ones lie below 16.
+const RECYCLE_MORTAL_BASE: i64 = 10_000;
+
+/// A differential history whose predicates die and are born again. The
+/// long-lived subscriptions hold the 16 shared constants; a mortal
+/// subscription gets a constant no live subscription holds, so
+/// unsubscribing it leaves a predicate only a tombstoned entry names. The
+/// predicate dies when its tier is rebuilt (tombstones past 1/8) or merged
+/// away, freeing its id, and a later mortal's constant is minted into that
+/// recycled id while tiers merge and rebuild around it. A quarter of the
+/// mortals revive a dead constant instead, whose predicate may still await
+/// its free. Every publish and batch publish — of shared, live, dead and
+/// never-used constants — must equal the model, and the published
+/// predicate count must fall and then rise again.
+fn recycling_history_combo(kind: EngineKind, shards: usize, seed: u64) {
+    let broker = SharedBroker::new(kind, shards);
+    let attr = broker.attr("recycled");
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let ctx = format!("[{kind:?} × {shards} shards, seed {seed}]");
+    let mut model: Model = BTreeMap::new();
+    for _ in 0..RECYCLE_SHARED_PER_STRIPE * shards {
+        let value = rng.gen_range(0i64..16);
+        model.insert(
+            broker.subscribe(sub(attr, value), Validity::forever()),
+            (value, None),
+        );
+    }
+    let (mut mortal, mut dead) = (Vec::new(), Vec::new());
+    let mut next = RECYCLE_MORTAL_BASE;
+    let (mut last, mut fell, mut reborn) = (broker.rcu_status().predicates, false, false);
+    for _ in 0..RECYCLE_STEPS_PER_STRIPE * shards {
+        let pick = |rng: &mut SmallRng, mortal: &[SubscriptionId], dead: &[i64]| -> i64 {
+            match rng.gen_range(0u32..4) {
+                0 => rng.gen_range(0i64..16),
+                1 if !mortal.is_empty() => model[&mortal[rng.gen_range(0..mortal.len())]].0,
+                2 if !dead.is_empty() => dead[rng.gen_range(0..dead.len())],
+                _ => -rng.gen_range(1i64..100),
+            }
+        };
+        let roll = rng.gen_range(0u32..100);
+        if roll < 45 {
+            let value = if !dead.is_empty() && rng.gen_bool(0.25) {
+                dead.swap_remove(rng.gen_range(0..dead.len()))
+            } else {
+                next += 1;
+                next
+            };
+            let id = broker.subscribe(sub(attr, value), Validity::forever());
+            model.insert(id, (value, None));
+            mortal.push(id);
+        } else if roll < 85 {
+            if !mortal.is_empty() {
+                let id = mortal.swap_remove(rng.gen_range(0..mortal.len()));
+                assert!(broker.unsubscribe(id), "{ctx}: model said {id} was live");
+                dead.push(model.remove(&id).expect("mortal ids are live").0);
+            }
+        } else if roll < 95 {
+            let v = pick(&mut rng, &mortal, &dead);
+            assert_eq!(
+                broker.publish(&event(attr, v)),
+                expected(&model, v),
+                "{ctx}: publish of {v} diverged from model"
+            );
+        } else {
+            let values: Vec<i64> = (0..4).map(|_| pick(&mut rng, &mortal, &dead)).collect();
+            let events: Vec<Event> = values.iter().map(|&v| event(attr, v)).collect();
+            for (v, got) in values.iter().zip(broker.publish_batch(&events)) {
+                assert_eq!(
+                    got,
+                    expected(&model, *v),
+                    "{ctx}: batch publish of {v} diverged"
+                );
+            }
+        }
+        let now = broker.rcu_status().predicates;
+        fell |= now < last;
+        reborn |= fell && now > last;
+        last = now;
+    }
+    let values: Vec<i64> = (0i64..16).chain(dead.iter().copied()).collect();
+    let values = values
+        .into_iter()
+        .chain(mortal.iter().map(|id| model[id].0));
+    for v in values {
+        assert_eq!(
+            broker.publish(&event(attr, v)),
+            expected(&model, v),
+            "{ctx}: end, {v}"
+        );
+    }
+    assert!(reborn, "{ctx}: no predicate died and was born again");
+}
+
+fn recycling_history_for(kind: EngineKind) {
+    for shards in [1, 2] {
+        recycling_history_combo(kind, shards, 0x2EC7 ^ ((shards as u64) << 8));
+    }
+}
+
+#[test]
+fn tiered_differential_history_recycles_predicates_counting() {
+    recycling_history_for(EngineKind::Counting);
+}
+
+#[test]
+fn tiered_differential_history_recycles_predicates_propagation() {
+    recycling_history_for(EngineKind::Propagation);
+}
+
+#[test]
+fn tiered_differential_history_recycles_predicates_propagation_prefetch() {
+    recycling_history_for(EngineKind::PropagationPrefetch);
+}
+
+#[test]
+fn tiered_differential_history_recycles_predicates_static() {
+    recycling_history_for(EngineKind::Static);
+}
+
+#[test]
+fn tiered_differential_history_recycles_predicates_dynamic() {
+    recycling_history_for(EngineKind::Dynamic);
+}

@@ -547,8 +547,8 @@ impl Cli {
             let list: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
             out.push_str(&format!(
                 ",\"phase1_nanos\":{},\"phase2_nanos\":{},\"rcu\":{{\"active_readers\":{},\
-                 \"built\":{},\"epoch\":{},\"flips\":{},\"l0\":{},\"retired\":{},\"tiers\":{}}},\
-                 \"shards\":[{}],\"subscriptions\":{}}}",
+                 \"built\":{},\"epoch\":{},\"flips\":{},\"l0\":{},\"predicates\":{},\
+                 \"retired\":{},\"tiers\":{}}},\"shards\":[{}],\"subscriptions\":{}}}",
                 s.phase1_nanos,
                 s.phase2_nanos,
                 rcu.active_readers,
@@ -556,6 +556,7 @@ impl Cli {
                 rcu.epoch,
                 rcu.flips,
                 rcu.l0,
+                rcu.predicates,
                 rcu.retired,
                 rcu.tiers,
                 list.join(","),
@@ -588,8 +589,16 @@ impl Cli {
             d.recovery.segments_scanned,
         );
         out.push_str(&format!(
-            "\nrcu: flips {}  epoch {}  retired {}  active-readers {}  tiers {}  l0 {}  built {}",
-            rcu.flips, rcu.epoch, rcu.retired, rcu.active_readers, rcu.tiers, rcu.l0, rcu.built,
+            "\nrcu: flips {}  epoch {}  retired {}  active-readers {}  tiers {}  l0 {}  built {}  \
+             predicates {}",
+            rcu.flips,
+            rcu.epoch,
+            rcu.retired,
+            rcu.active_readers,
+            rcu.tiers,
+            rcu.l0,
+            rcu.built,
+            rcu.predicates,
         ));
         if let Some(cause) = &d.degraded_cause {
             out.push_str(&format!("\ndegraded cause: {cause}"));
@@ -1317,7 +1326,7 @@ mod tests {
         assert!(r.contains("rcu: flips"), "{r}");
         // One subscription sits in L0; the empty recovered stripe froze
         // nothing.
-        assert!(r.contains("tiers 0  l0 1  built 0"), "{r}");
+        assert!(r.contains("tiers 0  l0 1  built 0  predicates 0"), "{r}");
         let r = run(&mut cli, "stats --json");
         assert!(r.starts_with("{\"checks\":"), "{r}");
         assert!(r.contains("\"durability\":{\"degraded\":false"), "{r}");
@@ -1330,13 +1339,29 @@ mod tests {
         assert!(r.contains("\"rcu\":{\"active_readers\":0"), "{r}");
         assert!(r.contains("\"retired\":0"), "{r}");
         assert!(r.contains("\"built\":0,\"epoch\":"), "{r}");
-        assert!(r.contains("\"l0\":1,\"retired\":0,\"tiers\":0}"), "{r}");
+        assert!(
+            r.contains("\"l0\":1,\"predicates\":0,\"retired\":0,\"tiers\":0}"),
+            "{r}"
+        );
         assert!(r.ends_with("\"subscriptions\":1}"), "{r}");
         // Key order stays ascending around the durability and rcu blocks.
         assert!(r.find("\"checks\"").unwrap() < r.find("\"durability\"").unwrap());
         assert!(r.find("\"durability\"").unwrap() < r.find("\"engine\"").unwrap());
         assert!(r.find("\"phase2_nanos\"").unwrap() < r.find("\"rcu\"").unwrap());
         assert!(r.find("\"rcu\"").unwrap() < r.find("\"shards\"").unwrap());
+        // A full L0 freezes into a tier, whose predicates the one
+        // broker-wide index publishes: 63 more distinct constants fill both
+        // stripes' L0s, and the two tiers name 64 predicates.
+        for v in 2..=64 {
+            run(&mut cli, &format!("sub a = {v}"));
+        }
+        let r = run(&mut cli, "stats");
+        assert!(r.contains("tiers 2  l0 0  built 64  predicates 64"), "{r}");
+        let r = run(&mut cli, "stats --json");
+        assert!(
+            r.contains("\"l0\":0,\"predicates\":64,\"retired\":0"),
+            "{r}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

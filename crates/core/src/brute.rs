@@ -4,7 +4,8 @@
 //! engine against the definitional semantics of §1.1.
 
 use crate::engine::{EngineStats, MatchEngine};
-use crate::view::{EngineCounters, MatchView, ViewScratch};
+use crate::view::{EngineCounters, MatchView, Phase2Engine, Phase2Scratch, ViewScratch};
+use pubsub_index::{PredicateBitVec, PredicateId};
 use pubsub_types::metrics::Counter;
 use pubsub_types::{Event, FxHashMap, Subscription, SubscriptionId};
 use std::time::Instant;
@@ -33,6 +34,38 @@ impl BruteForceMatcher {
     /// Creates an empty matcher.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Appends every stored subscription `event` satisfies to `out`;
+    /// returns how many were scanned.
+    fn scan(&self, event: &Event, out: &mut Vec<SubscriptionId>) -> u64 {
+        for (id, sub) in &self.subs {
+            if sub.matches_event(event) {
+                out.push(*id);
+            }
+        }
+        self.subs.len() as u64
+    }
+}
+
+/// Predicate ids and phase-1 output are ignored: the oracle evaluates every
+/// subscription from scratch.
+impl Phase2Engine for BruteForceMatcher {
+    const COUNTERS: EngineCounters = COUNTERS;
+
+    fn insert_ids(&mut self, id: SubscriptionId, sub: &Subscription, _: Vec<PredicateId>) {
+        self.insert(id, sub);
+    }
+
+    fn phase2_view(
+        &self,
+        event: &Event,
+        _bits: &PredicateBitVec,
+        _satisfied: &[PredicateId],
+        _scratch: &mut Phase2Scratch,
+        out: &mut Vec<SubscriptionId>,
+    ) -> u64 {
+        self.scan(event, out)
     }
 }
 
@@ -82,12 +115,8 @@ impl MatchView for BruteForceMatcher {
     fn match_view(&self, event: &Event, scratch: &mut ViewScratch, out: &mut Vec<SubscriptionId>) {
         let start = Instant::now();
         let before = out.len();
-        for (id, sub) in &self.subs {
-            if sub.matches_event(event) {
-                out.push(*id);
-            }
-        }
-        let (checked, matched) = (self.subs.len() as u64, (out.len() - before) as u64);
+        let checked = self.scan(event, out);
+        let matched = (out.len() - before) as u64;
         let phase2 = start.elapsed().as_nanos() as u64;
         COUNTERS.record(&mut scratch.stats, 0, phase2, checked, matched);
     }

@@ -15,7 +15,7 @@
 use crate::cluster::ClusterList;
 use crate::engine::{EngineStats, MatchEngine};
 use crate::tables::MultiAttrTable;
-use crate::view::{EngineCounters, MatchView, Phase2Engine, Phase2Scratch, ViewScratch};
+use crate::view::{EngineCounters, Indexed, MatchView, Phase2Engine, Phase2Scratch, ViewScratch};
 use pubsub_cost::{
     greedy_clustering, CostConstants, EventStatistics, GreedyConfig, SelectivityEstimator,
     SubscriptionProfile,
@@ -86,7 +86,7 @@ impl Default for DynamicConfig {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
+pub(crate) enum Mode {
     Static,
     Dynamic,
 }
@@ -132,13 +132,15 @@ struct Potential {
     candidates: Vec<SubscriptionId>,
 }
 
-/// The clustered matching engine (static or dynamic).
+/// The clustered matching engine (static or dynamic). `P` is where its
+/// predicate ids come from: its own [`PredicateIndex`], or `()` for a tier
+/// engine loaded with a caller's ids ([`crate::build_tier`]).
 #[derive(Debug)]
-pub struct ClusteredMatcher {
+pub struct ClusteredMatcher<P = PredicateIndex> {
     mode: Mode,
     config: DynamicConfig,
     consts: CostConstants,
-    index: PredicateIndex,
+    index: P,
     tables: Vec<Option<MultiAttrTable>>,
     free_tables: Vec<usize>,
     by_schema: FxHashMap<AttrSet, usize>,
@@ -186,13 +188,16 @@ impl ClusteredMatcher {
     pub fn new_dynamic_with(config: DynamicConfig) -> Self {
         Self::with_mode(Mode::Dynamic, config)
     }
+}
 
-    fn with_mode(mode: Mode, config: DynamicConfig) -> Self {
+impl<P: Default> ClusteredMatcher<P> {
+    /// An empty matcher in `mode`, whatever its id source.
+    pub(crate) fn with_mode(mode: Mode, config: DynamicConfig) -> Self {
         Self {
             mode,
             config,
             consts: CostConstants::default(),
-            index: PredicateIndex::new(),
+            index: P::default(),
             tables: Vec::new(),
             free_tables: Vec::new(),
             by_schema: FxHashMap::default(),
@@ -212,7 +217,9 @@ impl ClusteredMatcher {
             scratch: ViewScratch::new(),
         }
     }
+}
 
+impl<P> ClusteredMatcher<P> {
     /// Freezes the current clustering: maintenance stops running *and* the
     /// event statistics stop updating, turning this instance into the
     /// *no change* strategy of Figure 4 — insertions still pick the best
@@ -875,15 +882,53 @@ impl ClusteredMatcher {
     }
 }
 
-impl Phase2Engine for ClusteredMatcher {
+impl Indexed for ClusteredMatcher {
+    fn index(&self) -> &PredicateIndex {
+        &self.index
+    }
+}
+
+impl<P> Phase2Engine for ClusteredMatcher<P> {
     const COUNTERS: EngineCounters = EngineCounters {
         events: &EVENTS,
         verified: &VERIFIED,
         matched: &MATCHED,
     };
 
-    fn index(&self) -> &PredicateIndex {
-        &self.index
+    fn insert_ids(&mut self, id: SubscriptionId, sub: &Subscription, pred_ids: Vec<PredicateId>) {
+        let need = id.index() + 1;
+        if self.subs.len() < need {
+            self.subs.resize_with(need, || None);
+        }
+        assert!(
+            self.subs[id.index()].is_none(),
+            "duplicate subscription id {id}"
+        );
+        let eq_pairs: Vec<(AttrId, Value)> = sub
+            .equality_predicates()
+            .iter()
+            .map(|p| (p.attr, p.value))
+            .collect();
+        self.ensure_singletons(&eq_pairs);
+        let best = self.best_table(&eq_pairs, sub.size());
+        self.subs[id.index()] = Some(SubEntry {
+            pred_ids,
+            eq_pairs,
+            size: sub.size() as u32,
+            // Temporary; `place` overwrites it immediately.
+            place: Placement::Fallback { width: 0, slot: 0 },
+            voted: false,
+        });
+        self.place(id, best);
+        self.live += 1;
+        self.bump_ops();
+    }
+
+    /// The static engine runs its cost-based optimization here.
+    fn seal(&mut self) {
+        if self.mode == Mode::Static {
+            self.reoptimize(&GreedyConfig::default());
+        }
     }
 
     /// Probes every table whose schema the event covers (plus the fallback
@@ -940,37 +985,12 @@ impl MatchEngine for ClusteredMatcher {
     }
 
     fn insert(&mut self, id: SubscriptionId, sub: &Subscription) {
-        let need = id.index() + 1;
-        if self.subs.len() < need {
-            self.subs.resize_with(need, || None);
-        }
-        assert!(
-            self.subs[id.index()].is_none(),
-            "duplicate subscription id {id}"
-        );
-        let pred_ids: Vec<PredicateId> = sub
+        let pred_ids = sub
             .predicates()
             .iter()
             .map(|p| self.index.intern(*p))
             .collect();
-        let eq_pairs: Vec<(AttrId, Value)> = sub
-            .equality_predicates()
-            .iter()
-            .map(|p| (p.attr, p.value))
-            .collect();
-        self.ensure_singletons(&eq_pairs);
-        let best = self.best_table(&eq_pairs, sub.size());
-        self.subs[id.index()] = Some(SubEntry {
-            pred_ids,
-            eq_pairs,
-            size: sub.size() as u32,
-            // Temporary; `place` overwrites it immediately.
-            place: Placement::Fallback { width: 0, slot: 0 },
-            voted: false,
-        });
-        self.place(id, best);
-        self.live += 1;
-        self.bump_ops();
+        self.insert_ids(id, sub, pred_ids);
     }
 
     fn remove(&mut self, id: SubscriptionId) {
@@ -1023,9 +1043,7 @@ impl MatchEngine for ClusteredMatcher {
     }
 
     fn finalize(&mut self) {
-        if self.mode == Mode::Static {
-            self.reoptimize(&GreedyConfig::default());
-        }
+        self.seal();
     }
 
     fn stats(&self) -> &EngineStats {

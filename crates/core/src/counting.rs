@@ -10,7 +10,7 @@
 //! valid only if its stamp equals the current event's epoch.
 
 use crate::engine::{EngineStats, MatchEngine};
-use crate::view::{EngineCounters, MatchView, Phase2Engine, Phase2Scratch, ViewScratch};
+use crate::view::{EngineCounters, Indexed, MatchView, Phase2Engine, Phase2Scratch, ViewScratch};
 use pubsub_index::{PredicateBitVec, PredicateId, PredicateIndex};
 use pubsub_types::metrics::Counter;
 use pubsub_types::{Event, Subscription, SubscriptionId};
@@ -31,10 +31,12 @@ struct SubEntry {
     positions: Vec<u32>,
 }
 
-/// The counting matcher.
+/// The counting matcher. `P` is where its predicate ids come from: its own
+/// [`PredicateIndex`], or `()` for a tier engine loaded with a caller's ids
+/// ([`crate::build_tier`]).
 #[derive(Debug, Default)]
-pub struct CountingMatcher {
-    index: PredicateIndex,
+pub struct CountingMatcher<P = PredicateIndex> {
+    index: P,
     /// Association table: predicate id → subscriptions containing it.
     assoc: Vec<Vec<SubscriptionId>>,
     subs: Vec<Option<SubEntry>>,
@@ -50,7 +52,9 @@ impl CountingMatcher {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<P> CountingMatcher<P> {
     fn ensure_sub_capacity(&mut self, id: SubscriptionId) {
         let need = id.index() + 1;
         if self.subs.len() < need {
@@ -66,15 +70,37 @@ impl CountingMatcher {
     }
 }
 
-impl Phase2Engine for CountingMatcher {
+impl Indexed for CountingMatcher {
+    fn index(&self) -> &PredicateIndex {
+        &self.index
+    }
+}
+
+impl<P> Phase2Engine for CountingMatcher<P> {
     const COUNTERS: EngineCounters = EngineCounters {
         events: &EVENTS,
         verified: &VERIFIED,
         matched: &MATCHED,
     };
 
-    fn index(&self) -> &PredicateIndex {
-        &self.index
+    fn insert_ids(&mut self, id: SubscriptionId, sub: &Subscription, pred_ids: Vec<PredicateId>) {
+        self.ensure_sub_capacity(id);
+        assert!(
+            self.subs[id.index()].is_none(),
+            "duplicate subscription id {id}"
+        );
+        let mut positions = Vec::with_capacity(pred_ids.len());
+        for &pid in &pred_ids {
+            self.ensure_assoc_capacity(pid);
+            positions.push(self.assoc[pid.index()].len() as u32);
+            self.assoc[pid.index()].push(id);
+        }
+        self.arity[id.index()] = sub.size() as u32;
+        self.subs[id.index()] = Some(SubEntry {
+            pred_ids,
+            positions,
+        });
+        self.live += 1;
     }
 
     /// Walks the satisfied predicates' association lists, bumping the
@@ -107,7 +133,12 @@ impl Phase2Engine for CountingMatcher {
         let epoch = *epoch;
         let mut increments = 0u64;
         for &pid in satisfied {
-            for &sid in &self.assoc[pid.index()] {
+            // A tier's ids are a broker-wide index's: a satisfied predicate
+            // may lie past every one this engine holds.
+            let Some(list) = self.assoc.get(pid.index()) else {
+                continue;
+            };
+            for &sid in list {
                 let i = sid.index();
                 increments += 1;
                 let c = if stamps[i] == epoch {
@@ -132,26 +163,12 @@ impl MatchEngine for CountingMatcher {
     }
 
     fn insert(&mut self, id: SubscriptionId, sub: &Subscription) {
-        self.ensure_sub_capacity(id);
-        assert!(
-            self.subs[id.index()].is_none(),
-            "duplicate subscription id {id}"
-        );
-        let mut pred_ids = Vec::with_capacity(sub.size());
-        let mut positions = Vec::with_capacity(sub.size());
-        for p in sub.predicates() {
-            let pid = self.index.intern(*p);
-            self.ensure_assoc_capacity(pid);
-            positions.push(self.assoc[pid.index()].len() as u32);
-            self.assoc[pid.index()].push(id);
-            pred_ids.push(pid);
-        }
-        self.arity[id.index()] = sub.size() as u32;
-        self.subs[id.index()] = Some(SubEntry {
-            pred_ids,
-            positions,
-        });
-        self.live += 1;
+        let pred_ids = sub
+            .predicates()
+            .iter()
+            .map(|p| self.index.intern(*p))
+            .collect();
+        self.insert_ids(id, sub, pred_ids);
     }
 
     fn remove(&mut self, id: SubscriptionId) {

@@ -17,7 +17,10 @@
 //!
 //! [`view`] holds the indexed engines' one match driver (phase 1, phase
 //! timers, stats; each engine supplies only its phase 2). It runs through
-//! `&self` with caller-owned scratch as [`view::MatchView`], and
+//! `&self` with caller-owned scratch as [`view::MatchView`];
+//! [`view::build_tier`] builds the same engines without an index of their
+//! own, as phase-2-only [`view::TierEngine`]s over a caller's predicate ids;
+//! and
 //! [`rcu::RcuCell`] provides the epoch-protected snapshot publication the
 //! broker's lock-free publish path is built on.
 
@@ -43,4 +46,6 @@ pub use engine::{default_shards, EngineKind, EngineStats, MatchEngine};
 pub use propagation::PropagationMatcher;
 pub use rcu::{RcuCell, RcuGuard};
 pub use tables::MultiAttrTable;
-pub use view::{build_frozen, MatchView, SnapshotEngine, ViewScratch};
+pub use view::{
+    build_frozen, build_tier, record_phases, MatchView, SnapshotEngine, TierEngine, ViewScratch,
+};

@@ -13,7 +13,7 @@
 
 use crate::cluster::ClusterList;
 use crate::engine::{EngineStats, MatchEngine};
-use crate::view::{EngineCounters, MatchView, Phase2Engine, Phase2Scratch, ViewScratch};
+use crate::view::{EngineCounters, Indexed, MatchView, Phase2Engine, Phase2Scratch, ViewScratch};
 use pubsub_index::{PredicateBitVec, PredicateId, PredicateIndex};
 use pubsub_types::metrics::Counter;
 use pubsub_types::{Event, FxHashMap, Subscription, SubscriptionId};
@@ -38,11 +38,13 @@ struct SubEntry {
     slot: u32,
 }
 
-/// The propagation matcher, with or without prefetching.
+/// The propagation matcher, with or without prefetching. `P` is where its
+/// predicate ids come from: its own [`PredicateIndex`], or `()` for a tier
+/// engine loaded with a caller's ids ([`crate::build_tier`]).
 #[derive(Debug, Default)]
-pub struct PropagationMatcher {
+pub struct PropagationMatcher<P = PredicateIndex> {
     prefetch: bool,
-    index: PredicateIndex,
+    index: P,
     /// Cluster lists keyed by access predicate.
     access: FxHashMap<PredicateId, ClusterList>,
     /// Subscriptions with no equality predicate, checked on every event.
@@ -56,12 +58,21 @@ pub struct PropagationMatcher {
 impl PropagationMatcher {
     /// Creates an empty matcher. `prefetch` selects the *-wp* variant.
     pub fn new(prefetch: bool) -> Self {
+        Self::with_prefetch(prefetch)
+    }
+}
+
+impl<P: Default> PropagationMatcher<P> {
+    /// An empty matcher of either variant, whatever its id source.
+    pub(crate) fn with_prefetch(prefetch: bool) -> Self {
         Self {
             prefetch,
             ..Self::default()
         }
     }
+}
 
+impl<P> PropagationMatcher<P> {
     /// Whether this instance issues prefetches.
     pub fn prefetch_enabled(&self) -> bool {
         self.prefetch
@@ -97,15 +108,45 @@ impl PropagationMatcher {
     }
 }
 
-impl Phase2Engine for PropagationMatcher {
+impl Indexed for PropagationMatcher {
+    fn index(&self) -> &PredicateIndex {
+        &self.index
+    }
+}
+
+impl<P> Phase2Engine for PropagationMatcher<P> {
     const COUNTERS: EngineCounters = EngineCounters {
         events: &EVENTS,
         verified: &VERIFIED,
         matched: &MATCHED,
     };
 
-    fn index(&self) -> &PredicateIndex {
-        &self.index
+    /// `Subscription` stores equality first, which the cluster columns
+    /// inherit so inequality bits are only read once all equality bits
+    /// passed (short-circuit order, paper §6.2.1).
+    fn insert_ids(&mut self, id: SubscriptionId, sub: &Subscription, pred_ids: Vec<PredicateId>) {
+        assert!(self.slot_of(id).is_none(), "duplicate subscription id {id}");
+        let eq_ids = &pred_ids[..sub.equality_count()];
+        let access = self.choose_access(eq_ids);
+
+        // Column refs: every predicate except the access predicate.
+        let bit_refs: Vec<u32> = pred_ids
+            .iter()
+            .filter(|&&pid| Some(pid) != access)
+            .map(|pid| pid.0)
+            .collect();
+
+        let (width, slot) = match access {
+            Some(pid) => self.access.entry(pid).or_default().insert(id, &bit_refs),
+            None => self.fallback.insert(id, &bit_refs),
+        };
+        *self.slot_of(id) = Some(SubEntry {
+            pred_ids,
+            access,
+            width: width as u32,
+            slot: slot as u32,
+        });
+        self.live += 1;
     }
 
     /// Scans the cluster lists of the satisfied access predicates (plus the
@@ -150,36 +191,12 @@ impl MatchEngine for PropagationMatcher {
     }
 
     fn insert(&mut self, id: SubscriptionId, sub: &Subscription) {
-        assert!(self.slot_of(id).is_none(), "duplicate subscription id {id}");
-        // Intern all predicates; `Subscription` stores equality first, which
-        // the cluster columns inherit so inequality bits are only read once
-        // all equality bits passed (short-circuit order, paper §6.2.1).
-        let pred_ids: Vec<PredicateId> = sub
+        let pred_ids = sub
             .predicates()
             .iter()
             .map(|p| self.index.intern(*p))
             .collect();
-        let eq_ids = &pred_ids[..sub.equality_count()];
-        let access = self.choose_access(eq_ids);
-
-        // Column refs: every predicate except the access predicate.
-        let bit_refs: Vec<u32> = pred_ids
-            .iter()
-            .filter(|&&pid| Some(pid) != access)
-            .map(|pid| pid.0)
-            .collect();
-
-        let (width, slot) = match access {
-            Some(pid) => self.access.entry(pid).or_default().insert(id, &bit_refs),
-            None => self.fallback.insert(id, &bit_refs),
-        };
-        *self.slot_of(id) = Some(SubEntry {
-            pred_ids,
-            access,
-            width: width as u32,
-            slot: slot as u32,
-        });
-        self.live += 1;
+        self.insert_ids(id, sub, pred_ids);
     }
 
     fn remove(&mut self, id: SubscriptionId) {

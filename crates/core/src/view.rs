@@ -9,19 +9,24 @@
 //! driver.
 //!
 //! The paper has one predicate phase shared by every algorithm; only phase 2
-//! differs (§2.2). The [`MatchView`] impl over the crate-private
-//! `Phase2Engine` trait is that skeleton, written once: phase 1 against the
-//! engine's predicate index, the phase timers, the engine's `phase2_view`,
-//! counters and stats. Counting, propagation and clustered supply only their
-//! phase 2.
+//! differs (§2.2). Every engine supplies only its phase 2 through the
+//! crate-private `Phase2Engine` trait. The [`MatchView`] impl over it is the
+//! skeleton for an engine that owns its predicate index, written once:
+//! phase 1 against that index, the phase timers, the engine's `phase2_view`,
+//! counters and stats.
 //!
-//! [`SnapshotEngine`] bundles both traits for the frozen snapshot engines
+//! A [`TierEngine`] built by [`build_tier`] owns no index at all: it is
+//! loaded with predicate ids its caller interned, and its caller runs phase 1
+//! once per event against the index that minted them and lends the same bit
+//! vector to every tier.
+//!
+//! [`SnapshotEngine`] bundles both traits for the self-contained engines
 //! built by [`build_frozen`]; every in-tree engine implements it.
 
 use crate::engine::{EngineKind, EngineStats, MatchEngine};
 use pubsub_index::{Phase1Batch, PredicateBitVec, PredicateId, PredicateIndex};
 use pubsub_types::metrics::Counter;
-use pubsub_types::{Event, SubscriptionId, Value};
+use pubsub_types::{Event, Subscription, SubscriptionId, Value};
 use std::time::Instant;
 
 /// Phase-1 output the driver fills and lends to phase 2.
@@ -92,16 +97,15 @@ impl EngineCounters {
         checked: u64,
         matched: u64,
     ) {
-        stats.events += 1;
-        stats.subscriptions_checked += checked;
-        stats.matches += matched;
-        stats.phase1_nanos += phase1;
-        stats.phase2_nanos += phase2;
+        record_phases(stats, phase1, phase2, checked, matched);
+        self.count(checked, matched);
+    }
+
+    /// Counts one event's checks and matches.
+    fn count(&self, checked: u64, matched: u64) {
         self.events.inc();
         self.verified.add(checked);
         self.matched.add(matched);
-        crate::engine::PHASE1_NANOS.record(phase1);
-        crate::engine::PHASE2_NANOS.record(phase2);
     }
 }
 
@@ -131,15 +135,19 @@ pub trait MatchView {
     }
 }
 
-/// An engine that supplies only its phase 2; its [`MatchView`] is the one
-/// match driver below, which runs phase 1 against its index and keeps the
-/// books.
+/// An engine's phase 2 and how it is loaded, over predicate ids that are
+/// interned elsewhere: in the engine's own index ([`Indexed`]) or by the
+/// caller of [`build_tier`].
 pub(crate) trait Phase2Engine {
     /// The engine's `core.<engine>.*` counters.
     const COUNTERS: EngineCounters;
 
-    /// The predicate index phase 1 evaluates.
-    fn index(&self) -> &PredicateIndex;
+    /// Registers `id` under `pred_ids`, the interned ids of
+    /// `sub.predicates()` in order.
+    fn insert_ids(&mut self, id: SubscriptionId, sub: &Subscription, pred_ids: Vec<PredicateId>);
+
+    /// The one-time hook after loading ([`MatchEngine::finalize`]).
+    fn seal(&mut self) {}
 
     /// Phase 2: appends the subscriptions `event` matches to `out`, given
     /// its phase-1 output (`bits` and the `satisfied` list). Returns the
@@ -154,9 +162,17 @@ pub(crate) trait Phase2Engine {
     ) -> u64;
 }
 
+/// An engine that owns the predicate index its ids come from; its
+/// [`MatchView`] is the one match driver below, which runs phase 1 against
+/// that index and keeps the books.
+pub(crate) trait Indexed: Phase2Engine {
+    /// The predicate index phase 1 evaluates.
+    fn index(&self) -> &PredicateIndex;
+}
+
 /// The match driver: phase 1, the engine's phase 2, phase timers, counters
 /// and stats, written once for counting, propagation and clustered.
-impl<E: Phase2Engine> MatchView for E {
+impl<E: Indexed> MatchView for E {
     fn match_view(&self, event: &Event, scratch: &mut ViewScratch, out: &mut Vec<SubscriptionId>) {
         let (p1, p2) = &mut **scratch.buffers.get_or_insert_with(Box::default);
         let t0 = Instant::now();
@@ -228,6 +244,95 @@ pub fn build_frozen(kind: EngineKind) -> Box<dyn SnapshotEngine> {
         EngineKind::Dynamic => Box::new(crate::clustered::ClusteredMatcher::new_dynamic()),
         EngineKind::BruteForce => Box::new(crate::brute::BruteForceMatcher::new()),
     }
+}
+
+/// A frozen engine over predicate ids its caller interned: phase 2 only,
+/// built by [`build_tier`]. It holds no predicate index; the caller runs
+/// phase 1 once per event against the index that minted the ids and lends
+/// the same output to every tier.
+pub trait TierEngine: Send + Sync {
+    /// Phase 2: appends the subscriptions `event` matches to `out`, given
+    /// the caller's phase-1 output (`bits` and the `satisfied` list).
+    /// Returns the subscriptions checked. Bumps the engine's
+    /// `core.<engine>.*` counters; phase timers and [`EngineStats`] are the
+    /// caller's (see [`record_phases`]).
+    fn phase2(
+        &self,
+        event: &Event,
+        bits: &PredicateBitVec,
+        satisfied: &[PredicateId],
+        scratch: &mut ViewScratch,
+        out: &mut Vec<SubscriptionId>,
+    ) -> u64;
+}
+
+impl<E: Phase2Engine + Send + Sync> TierEngine for E {
+    fn phase2(
+        &self,
+        event: &Event,
+        bits: &PredicateBitVec,
+        satisfied: &[PredicateId],
+        scratch: &mut ViewScratch,
+        out: &mut Vec<SubscriptionId>,
+    ) -> u64 {
+        let (_, p2) = &mut **scratch.buffers.get_or_insert_with(Box::default);
+        let before = out.len();
+        let checked = self.phase2_view(event, bits, satisfied, p2, out);
+        E::COUNTERS.count(checked, (out.len() - before) as u64);
+        checked
+    }
+}
+
+/// Builds a [`TierEngine`] of `kind` from `(rank, subscription, predicate
+/// ids)` rows, the ids interned by the caller in `sub.predicates()` order.
+/// Loads and clusters exactly as [`build_frozen`] followed by
+/// [`MatchEngine::rebuild`] does, minus the engine's own index.
+pub fn build_tier(
+    kind: EngineKind,
+    rows: &mut dyn Iterator<Item = (SubscriptionId, &Subscription, Vec<PredicateId>)>,
+) -> Box<dyn TierEngine> {
+    fn load<E: Phase2Engine + Send + Sync + 'static>(
+        mut engine: E,
+        rows: &mut dyn Iterator<Item = (SubscriptionId, &Subscription, Vec<PredicateId>)>,
+    ) -> Box<dyn TierEngine> {
+        for (id, sub, pred_ids) in rows {
+            engine.insert_ids(id, sub, pred_ids);
+        }
+        engine.seal();
+        Box::new(engine)
+    }
+    use crate::clustered::{ClusteredMatcher, DynamicConfig, Mode};
+    use crate::propagation::PropagationMatcher;
+    let clustered = |mode| ClusteredMatcher::<()>::with_mode(mode, DynamicConfig::default());
+    match kind {
+        EngineKind::Counting => load(crate::counting::CountingMatcher::<()>::default(), rows),
+        EngineKind::Propagation => load(PropagationMatcher::<()>::with_prefetch(false), rows),
+        EngineKind::PropagationPrefetch => {
+            load(PropagationMatcher::<()>::with_prefetch(true), rows)
+        }
+        EngineKind::Static => load(clustered(Mode::Static), rows),
+        EngineKind::Dynamic => load(clustered(Mode::Dynamic), rows),
+        EngineKind::BruteForce => load(crate::brute::BruteForceMatcher::new(), rows),
+    }
+}
+
+/// Folds one event's phase timings and counts into `stats` and the global
+/// `core.phase{1,2}_nanos` histograms, for a caller that drives phase 1 and
+/// the [`TierEngine`]s' phase 2 itself.
+pub fn record_phases(
+    stats: &mut EngineStats,
+    phase1: u64,
+    phase2: u64,
+    checked: u64,
+    matched: u64,
+) {
+    stats.events += 1;
+    stats.subscriptions_checked += checked;
+    stats.matches += matched;
+    stats.phase1_nanos += phase1;
+    stats.phase2_nanos += phase2;
+    crate::engine::PHASE1_NANOS.record(phase1);
+    crate::engine::PHASE2_NANOS.record(phase2);
 }
 
 #[cfg(test)]
@@ -354,6 +459,43 @@ mod tests {
                 engine.match_event(&event(v % 7, v), &mut out);
             }
             assert_eq!(engine.heap_bytes(), before, "engine {}", kind.label());
+        }
+    }
+
+    /// A tier built against a caller's ids matches exactly as the engine
+    /// with its own index does, also when the caller's index holds
+    /// predicates the tier never names, minted after every one it does.
+    #[test]
+    fn tier_engines_match_like_indexed_engines() {
+        for kind in ALL_KINDS {
+            let mut index = PredicateIndex::new();
+            let subs: Vec<Subscription> = (0..40).map(|i| sub(i % 7)).collect();
+            let mut rows = subs.iter().enumerate().map(|(i, s)| {
+                let ids = s.predicates().iter().map(|p| index.intern(*p)).collect();
+                (SubscriptionId(i as u32), s, ids)
+            });
+            let tier = build_tier(kind, &mut rows);
+            for v in 7..20 {
+                sub(v).predicates().iter().for_each(|p| {
+                    index.intern(*p);
+                });
+            }
+            let frozen = loaded(kind, 40, 7);
+            let mut scratch = ViewScratch::new();
+            let (mut bits, mut satisfied) = (PredicateBitVec::new(), Vec::new());
+            for v in 0..20i64 {
+                let e = event(v, v * 7);
+                satisfied.clear();
+                index.eval_into(&e, &mut bits, &mut satisfied);
+                let mut got = Vec::new();
+                tier.phase2(&e, &bits, &satisfied, &mut scratch, &mut got);
+                bits.clear();
+                let mut want = Vec::new();
+                frozen.match_view(&e, &mut scratch, &mut want);
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "engine {}, value {v}", kind.label());
+            }
         }
     }
 

@@ -21,7 +21,7 @@ const MIN_KEYS: usize = MAX_KEYS / 2;
 
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Node<K, V> {
     Internal {
         /// Separator keys; `keys[i]` is the smallest key reachable through
@@ -40,7 +40,7 @@ enum Node<K, V> {
 }
 
 /// An ordered map from `K` to `V` backed by a B+-tree.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BPlusTree<K, V> {
     nodes: Vec<Node<K, V>>,
     free: Vec<u32>,

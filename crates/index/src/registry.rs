@@ -85,7 +85,7 @@ impl OpSlots {
 
 /// `≠` predicates on one attribute: a vector for scanning plus a position map
 /// for O(1) removal.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct NeIndex {
     items: Vec<(Value, PredicateId)>,
     pos: FxHashMap<Value, usize>,
@@ -114,7 +114,7 @@ impl NeIndex {
 /// friendly reference structure (and the baseline the benchmarks compare
 /// against), while the [`OrderedSnapshot`]s are the flat evaluation fast
 /// path that [`PredicateIndex::eval_into`] actually reads.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct AttrIndex {
     eq: FxHashMap<Value, PredicateId>,
     ne: NeIndex,
@@ -127,7 +127,7 @@ struct AttrIndex {
     live: u32,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry {
     pred: Predicate,
     refcount: u32,
@@ -135,7 +135,7 @@ struct Entry {
 }
 
 /// The predicate registry and phase-1 evaluator.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PredicateIndex {
     entries: Vec<Entry>,
     free: Vec<u32>,

@@ -13,9 +13,9 @@
 #   --bench-smoke  every Criterion bench target once in test mode (one
 #                  iteration, no measurement) so bench code can't bit-rot,
 #                  a second phase1_micro pass with the simd feature so the
-#                  batched/vectorized variant runs too, plus the
-#                  cross-engine differential proptest with a bounded case
-#                  count.
+#                  batched/vectorized variant runs too, the cross-engine
+#                  differential proptest with a bounded case count, and one
+#                  snapshot_publish pass at 5k subscriptions.
 #   --chaos        fault-injection lane: build and test the workspace with
 #                  --features faults,metrics, which compiles the
 #                  deterministic fault registry in. The runtime-gated chaos
@@ -336,6 +336,9 @@ if [[ "$BENCH_SMOKE" == 1 ]]; then
     echo "==> differential proptest smoke (PROPTEST_CASES=8)"
     PROPTEST_CASES=8 cargo test ${OFFLINE} -p pubsub-core --test equivalence \
         all_engines_agree_on_identical_interleavings
+    echo "==> snapshot_publish smoke (W2, 5k subscriptions)"
+    cargo run ${OFFLINE} --release -q -p pubsub-bench --bin snapshot_publish -- \
+        --workload w2 --subs 5000 --seed 1
 fi
 
 if [[ "$PERF" == 1 ]]; then

@@ -59,55 +59,83 @@ mod enabled {
         assert_eq!(snap.counter("broker.subscribes"), Some(8));
     }
 
-    /// A `SharedBroker` publish runs phase 1 once per frozen tier: each
-    /// tier engine owns its predicate index.
+    /// A `SharedBroker` publish runs phase 1 once, against the one
+    /// broker-wide predicate index, however many tiers and stripes hold the
+    /// subscriptions; each tier still runs its own phase 2
+    /// (`core.counting.events`). A batch publish runs one batched phase 1
+    /// per batch, which counts each of its events once.
     #[test]
-    fn shared_publishes_run_phase1_once_per_tier() {
+    fn shared_publishes_run_phase1_once_per_event() {
         let _guard = METRICS_LOCK.lock().unwrap();
-        let broker = SharedBroker::new(EngineKind::Counting, 1);
-        let subscribe = |n: u32| {
-            for i in 0..n {
-                let sub = Subscription::builder()
-                    .eq(AttrId(0), (i % 4) as i64)
-                    .build()
-                    .unwrap();
-                broker.subscribe(sub, Validity::forever());
-            }
-        };
-        let evals_over = |n: u64| {
+        for stripes in [1usize, 2] {
+            let broker = SharedBroker::new(EngineKind::Counting, stripes);
+            let subscribe = |n: usize| {
+                for i in 0..n {
+                    let sub = Subscription::builder()
+                        .eq(AttrId(0), (i % 4) as i64)
+                        .build()
+                        .unwrap();
+                    broker.subscribe(sub, Validity::forever());
+                }
+            };
             let counts = || {
                 let snap = MetricsSnapshot::capture();
                 let count = |name| snap.counter(name).unwrap_or(0);
-                (
+                [
                     count("index.phase1.snapshot_evals"),
+                    count("index.phase1.batches"),
                     count("core.counting.events"),
-                )
+                ]
             };
-            let before = counts();
-            for i in 0..n {
-                let event = Event::builder()
-                    .pair(AttrId(0), (i % 8) as i64)
-                    .build()
-                    .unwrap();
-                broker.publish(&event);
-            }
-            let after = counts();
-            (after.0 - before.0, after.1 - before.1)
-        };
-        const N: u64 = 40;
+            let events: Vec<Event> = (0..8i64)
+                .map(|v| Event::builder().pair(AttrId(0), v).build().unwrap())
+                .collect();
+            let evals_over = |n: u64| {
+                let before = counts();
+                for i in 0..n {
+                    broker.publish(&events[i as usize % events.len()]);
+                }
+                let after = counts();
+                [0, 1, 2].map(|k| after[k] - before[k])
+            };
+            let batches_over = |n: u64| {
+                let before = counts();
+                for _ in 0..n {
+                    broker.publish_batch(&events);
+                }
+                let after = counts();
+                [0, 1, 2].map(|k| after[k] - before[k])
+            };
+            const N: u64 = 40;
+            let batch = events.len() as u64;
 
-        // Past a level-0 tier's 256, so the compacted base sits at level 1
-        // and the next L0 flush becomes a tier of its own.
-        subscribe(300);
-        broker.compact();
-        let status = broker.rcu_status();
-        assert_eq!((status.tiers, status.l0), (1, 0), "compact leaves one base");
-        assert_eq!(evals_over(N), (N, N));
+            // Past a level-0 tier's 256 per stripe, so each compacted base
+            // sits at level 1 and the next L0 flush becomes a tier of its
+            // own.
+            subscribe(300 * stripes);
+            broker.compact();
+            let status = broker.rcu_status();
+            assert_eq!(
+                (status.tiers, status.l0),
+                (stripes, 0),
+                "one base per stripe"
+            );
+            let tiers = stripes as u64;
+            assert_eq!(evals_over(N), [N, 0, N * tiers]);
 
-        subscribe(40);
-        let tiers = broker.rcu_status().tiers as u64;
-        assert!(tiers > 1, "40 uncompacted subscriptions add a tier");
-        assert_eq!(evals_over(N), (N * tiers, N * tiers));
+            subscribe(40 * stripes);
+            let tiers = broker.rcu_status().tiers as u64;
+            assert!(
+                tiers > stripes as u64,
+                "40 uncompacted subscriptions per stripe add tiers"
+            );
+            assert_eq!(evals_over(N), [N, 0, N * tiers], "{stripes} stripes");
+            assert_eq!(
+                batches_over(N),
+                [N * batch, N, N * batch * tiers],
+                "{stripes} stripes"
+            );
+        }
     }
 
     #[test]

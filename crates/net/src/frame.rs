@@ -865,6 +865,170 @@ mod tests {
         }
     }
 
+    /// One frame per tag against the grammar in DESIGN.md §13 (§14 for the
+    /// replication frames), byte for byte, with a string wherever the
+    /// grammar has one: an encoding change fails here until the documented
+    /// grammar changes with it.
+    #[test]
+    fn encoding_matches_the_documented_grammar() {
+        fn u32le(v: u32) -> Vec<u8> {
+            v.to_le_bytes().to_vec()
+        }
+        fn u64le(v: u64) -> Vec<u8> {
+            v.to_le_bytes().to_vec()
+        }
+        // string := len:u32le utf8 (the same prefix carries raw bytes).
+        fn string(s: &[u8]) -> Vec<u8> {
+            [u32le(s.len() as u32), s.to_vec()].concat()
+        }
+        // event := count:u32le (attr:string value)*; value := INT=0 i64le | STR=1 string
+        let event = WireEvent {
+            pairs: vec![
+                ("qty".into(), WireValue::Int(-2)),
+                ("side".into(), WireValue::Str("bid".into())),
+            ],
+        };
+        let event_bytes = [
+            u32le(2),
+            string(b"qty"),
+            vec![0],
+            (-2i64).to_le_bytes().to_vec(),
+            string(b"side"),
+            vec![1],
+            string(b"bid"),
+        ]
+        .concat();
+        let cases: Vec<(Frame, Vec<Vec<u8>>)> = vec![
+            (
+                Frame::Hello { proto: 1, token: 9 },
+                vec![vec![1], u32le(1), u64le(9)],
+            ),
+            (
+                Frame::Subscribe {
+                    req: 7,
+                    preds: vec![WirePredicate {
+                        attr: "movie".into(),
+                        op: Operator::Ge,
+                        value: WireValue::Str("up".into()),
+                    }],
+                },
+                // op := LT=0 LE=1 EQ=2 NE=3 GE=4 GT=5
+                vec![
+                    vec![2],
+                    u32le(7),
+                    u32le(1),
+                    string(b"movie"),
+                    vec![4, 1],
+                    string(b"up"),
+                ],
+            ),
+            (
+                Frame::Unsubscribe { req: 8, id: 3 },
+                vec![vec![3], u32le(8), u32le(3)],
+            ),
+            (
+                Frame::Publish {
+                    req: 9,
+                    event: event.clone(),
+                },
+                vec![vec![4], u32le(9), event_bytes.clone()],
+            ),
+            (
+                Frame::Notify {
+                    seq: 41,
+                    ids: vec![3, 12],
+                    event,
+                },
+                vec![
+                    vec![5],
+                    u64le(41),
+                    u32le(2),
+                    u32le(3),
+                    u32le(12),
+                    event_bytes,
+                ],
+            ),
+            (
+                Frame::Ack(Ack::Hello {
+                    token: 5,
+                    resumed: vec![4],
+                }),
+                vec![vec![6, 1], u64le(5), u32le(1), u32le(4)],
+            ),
+            (
+                Frame::Ack(Ack::Subscribe { req: 7, id: 3 }),
+                vec![vec![6, 2], u32le(7), u32le(3)],
+            ),
+            (
+                Frame::Ack(Ack::Unsubscribe {
+                    req: 8,
+                    existed: true,
+                }),
+                vec![vec![6, 3], u32le(8), vec![1]],
+            ),
+            (
+                Frame::Ack(Ack::Publish {
+                    req: 9,
+                    matched: 17,
+                }),
+                vec![vec![6, 4], u32le(9), u32le(17)],
+            ),
+            (
+                Frame::Error {
+                    req: 9,
+                    code: ErrorCode::BadRequest,
+                    msg: "dup".into(),
+                },
+                vec![vec![7], u32le(9), vec![4], string(b"dup")],
+            ),
+            (
+                Frame::ReplHello {
+                    proto: 1,
+                    from_lsn: 42,
+                },
+                vec![vec![8], u32le(1), u64le(42)],
+            ),
+            (
+                Frame::ReplSegment { first_lsn: 40 },
+                vec![vec![9], u64le(40)],
+            ),
+            (
+                Frame::ReplRecords {
+                    first_lsn: 42,
+                    payloads: vec![vec![0xAB], vec![]],
+                },
+                vec![vec![10], u64le(42), u32le(2), string(&[0xAB]), string(&[])],
+            ),
+            (
+                Frame::ReplSnapshot {
+                    lsn: 40,
+                    total_len: 3,
+                    offset: 1,
+                    chunk: vec![7, 8],
+                },
+                vec![vec![11], u64le(40), u64le(3), u64le(1), string(&[7, 8])],
+            ),
+            (
+                Frame::ReplLag {
+                    leader_next_lsn: 45,
+                },
+                vec![vec![12], u64le(45)],
+            ),
+            (Frame::Ping { nonce: 6 }, vec![vec![13], u64le(6)]),
+            (Frame::Pong { nonce: 6 }, vec![vec![14], u64le(6)]),
+        ];
+        for (frame, parts) in cases {
+            let mut payload = Vec::new();
+            frame.encode(&mut payload);
+            assert_eq!(payload, parts.concat(), "{frame:?}");
+        }
+        // frame := len:u32le crc:u32le payload, the CRC being CRC-32C.
+        assert_eq!(codec::crc32c(b"123456789"), 0xE306_9283);
+        let bytes = Frame::Ping { nonce: 6 }.to_bytes();
+        assert_eq!(bytes[..4], 9u32.to_le_bytes());
+        assert_eq!(bytes[4..8], codec::crc32c(&bytes[8..]).to_le_bytes());
+    }
+
     #[test]
     fn reader_reassembles_byte_by_byte() {
         let frames = sample_frames();

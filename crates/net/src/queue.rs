@@ -118,6 +118,50 @@ impl<T> OutQueue<T> {
         Ok(())
     }
 
+    /// Enqueues every item of `items`, front first, waiting for space as
+    /// often as needed; accepted items are drained out of `items`. Each
+    /// round enqueues what fits and wakes the consumer *before* waiting, so
+    /// a batch larger than the free space (or the whole capacity) cannot
+    /// deadlock against its own consumer. Fails only if the queue is (or
+    /// becomes) closed; `items` then holds what was not enqueued.
+    pub fn push_all_blocking(&self, items: &mut Vec<T>) -> Result<(), PushError> {
+        let mut inner = self.inner.lock().unwrap();
+        loop {
+            if inner.closed {
+                return Err(PushError::Closed);
+            }
+            self.push_prefix(&mut inner, items);
+            if items.is_empty() {
+                return Ok(());
+            }
+            inner = self.space.wait(inner).unwrap();
+        }
+    }
+
+    /// Enqueues the longest prefix of `items` that fits, without waiting,
+    /// and returns its length; accepted items are drained out of `items`,
+    /// the rest stay there. Fails (accepting nothing) if the queue is
+    /// closed.
+    pub fn try_push_all(&self, items: &mut Vec<T>) -> Result<usize, PushError> {
+        let mut inner = self.inner.lock().unwrap();
+        if inner.closed {
+            return Err(PushError::Closed);
+        }
+        Ok(self.push_prefix(&mut inner, items))
+    }
+
+    /// Moves the longest prefix of `items` that fits into the open queue
+    /// behind `inner`'s lock, waking the consumer if it moved any; returns
+    /// how many.
+    fn push_prefix(&self, inner: &mut Inner<T>, items: &mut Vec<T>) -> usize {
+        let take = self.cap.saturating_sub(inner.buf.len()).min(items.len());
+        if take > 0 {
+            inner.buf.extend(items.drain(..take));
+            self.items.notify_one();
+        }
+        take
+    }
+
     /// Dequeues, waiting for an item. Returns `None` once the queue is
     /// closed — immediately, discarding anything still buffered: close
     /// means the connection is dead and its frames have nowhere to go.
@@ -130,6 +174,26 @@ impl<T> OutQueue<T> {
             if let Some(item) = inner.buf.pop_front() {
                 self.space.notify_one();
                 return Some(item);
+            }
+            inner = self.items.wait(inner).unwrap();
+        }
+    }
+
+    /// Dequeues everything buffered into `out` (appended in FIFO order),
+    /// waiting until at least one item is there. One drain wakes every
+    /// blocked producer once. Returns `false`, leaving `out` untouched, once
+    /// the queue is closed — with the same discard-on-close rule as
+    /// [`OutQueue::pop`].
+    pub fn pop_all(&self, out: &mut Vec<T>) -> bool {
+        let mut inner = self.inner.lock().unwrap();
+        loop {
+            if inner.closed {
+                return false;
+            }
+            if !inner.buf.is_empty() {
+                out.extend(inner.buf.drain(..));
+                self.space.notify_all();
+                return true;
             }
             inner = self.items.wait(inner).unwrap();
         }
@@ -206,6 +270,72 @@ mod tests {
         q.close();
         assert_eq!(producer.join().unwrap(), Err(PushError::Closed));
         assert_eq!(q.pop(), None, "close discards buffered items");
+    }
+
+    #[test]
+    fn push_all_larger_than_capacity_completes_against_a_live_consumer() {
+        // 3 × capacity in one call: each round fills the queue and must
+        // wake the consumer before waiting for it to make room.
+        let q = Arc::new(OutQueue::new(4));
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut got = Vec::new();
+                while got.len() < 12 && q.pop_all(&mut got) {}
+                got
+            })
+        };
+        let mut items: Vec<u32> = (0..12).collect();
+        assert_eq!(q.push_all_blocking(&mut items), Ok(()));
+        assert!(items.is_empty(), "every item accepted");
+        assert_eq!(consumer.join().unwrap(), (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn close_unblocks_a_blocked_push_all() {
+        let q = Arc::new(OutQueue::new(2));
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut items = vec![1u32, 2, 3, 4, 5];
+                let result = q.push_all_blocking(&mut items);
+                (result, items)
+            })
+        };
+        thread::sleep(Duration::from_millis(50));
+        q.close();
+        let (result, left) = producer.join().unwrap();
+        assert_eq!(result, Err(PushError::Closed));
+        assert_eq!(left, vec![3, 4, 5], "the prefix that fit was accepted");
+    }
+
+    #[test]
+    fn try_push_all_accepts_the_prefix_that_fits() {
+        let q = OutQueue::new(3);
+        q.try_push(0u32).unwrap();
+        let mut items = vec![1, 2, 3, 4];
+        assert_eq!(q.try_push_all(&mut items), Ok(2));
+        assert_eq!(items, vec![3, 4], "the rest stays with the caller");
+        assert_eq!(q.try_push_all(&mut items), Ok(0), "full: nothing fits");
+        q.close();
+        assert_eq!(q.try_push_all(&mut items), Err(PushError::Closed));
+    }
+
+    #[test]
+    fn order_is_fifo_across_single_and_batch_operations() {
+        let q = OutQueue::new(16);
+        q.try_push(0u32).unwrap();
+        q.push_all_blocking(&mut vec![1, 2, 3]).unwrap();
+        q.push_blocking(4).unwrap();
+        assert_eq!(q.try_push_all(&mut vec![5, 6]), Ok(2));
+        assert_eq!(q.pop(), Some(0));
+        q.try_push(7).unwrap();
+        let mut out = vec![99];
+        assert!(q.pop_all(&mut out));
+        assert_eq!(out, vec![99, 1, 2, 3, 4, 5, 6, 7], "appended in FIFO order");
+        assert!(q.is_empty());
+        q.close();
+        assert!(!q.pop_all(&mut out), "closed");
     }
 
     #[test]

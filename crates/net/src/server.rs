@@ -5,9 +5,20 @@
 //! One accept thread hands each TCP connection to a dedicated **reader**
 //! thread (decodes frames, executes requests against the shared broker)
 //! paired with a **writer** thread draining that connection's bounded
-//! [`OutQueue`] of encoded frames. Publishes ride the broker's lock-free
-//! RCU path — [`pubsub_broker::SharedBroker::publish`] pins one snapshot
-//! per event — so matching never blocks accepts or other connections.
+//! [`OutQueue`] of encoded frames.
+//!
+//! The reader handles every complete frame one `read` returned as one
+//! batch. Consecutive publishes are interned under one vocabulary hold and
+//! matched by one [`pubsub_broker::SharedBroker::publish_batch_into`] call,
+//! which rides the broker's lock-free RCU path (one snapshot pin per
+//! batch), so matching never blocks accepts or other connections. Fan-out
+//! takes the registry lock once per batch and makes one push per target
+//! session; the batch's acks and errors go to the connection's own queue
+//! in one push, in request order. Any other frame ends the batch, which is
+//! answered before that frame is handled, so a publish written before a
+//! subscribe never matches it and one written after it does. Nothing ever
+//! waits for more bytes: a paced connection sees one-frame batches. The
+//! writer sends everything its queue holds in one write.
 //!
 //! # Sessions
 //!
@@ -37,6 +48,11 @@
 //! * `ErrorFast` — the subscriber is forcibly disconnected (its session
 //!   survives and can resume).
 //!
+//! A batch's notifies for one session go in one push, and the policy still
+//! applies to each notify: the prefix that fits is enqueued; under `Shed`
+//! each one after it is shed, under `ErrorFast` the first one disconnects
+//! and the rest take the detached path below.
+//!
 //! Notifications that match a **detached** session (subscriber currently
 //! disconnected) are dropped — delivery is at-most-once; the sequence gap
 //! tells a resuming client what it missed. Acks and errors are never
@@ -62,15 +78,17 @@
 //! §14 for the full replication state machine.
 
 use crate::frame::{Ack, ErrorCode, Frame, FrameReader, WireEvent, WirePredicate, WireValue};
-use crate::queue::{Backpressure, OutQueue, PushError};
+use crate::queue::{Backpressure, OutQueue};
 use parking_lot::Mutex;
 use pubsub_broker::{BrokerError, SharedBroker, Validity};
 use pubsub_durability::{replication, TailChunk};
 use pubsub_types::faults::{self, points, FaultAction};
 use pubsub_types::metrics::Counter;
-use pubsub_types::{Event, Predicate, Subscription, SubscriptionId, TypeError, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io::{Read, Write};
+use pubsub_types::{
+    AttrId, Event, FxHashMap, Predicate, Subscription, SubscriptionId, TypeError, Value, Vocabulary,
+};
+use std::collections::{BTreeSet, HashMap};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,6 +98,9 @@ use std::time::{Duration, Instant};
 static CONNECTIONS: Counter = Counter::new("net.server.connections");
 static FRAMES_IN: Counter = Counter::new("net.server.frames_in");
 static FRAMES_OUT: Counter = Counter::new("net.server.frames_out");
+static READS: Counter = Counter::new("net.server.reads");
+static WRITES: Counter = Counter::new("net.server.writes");
+static PUBLISH_BATCHES: Counter = Counter::new("net.server.publish_batches");
 static BAD_FRAMES: Counter = Counter::new("net.server.bad_frames");
 static SESSIONS_RESUMED: Counter = Counter::new("net.server.sessions_resumed");
 static NOTIFIES_SHED: Counter = Counter::new("net.server.notifies_shed");
@@ -96,6 +117,16 @@ const TAIL_BATCH_BYTES: usize = 64 * 1024;
 
 /// Snapshot transfer chunk size; each chunk rides one `ReplSnapshot` frame.
 const SNAPSHOT_CHUNK_BYTES: usize = 256 * 1024;
+
+/// A reader's socket read size: one read holds a whole pipelined window of
+/// publishes (64 × ≈540 B on `match_eq`), and that window is one batch.
+/// The buffer is left uninitialised until a read fills it, so memory is
+/// only spent on the bytes a connection actually receives at once.
+const READ_BUF_BYTES: usize = 64 * 1024;
+
+/// A writer copies popped frames into one buffer and writes it once this
+/// many bytes have gathered (or the drain ends), bounding the buffer.
+const WRITE_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -607,6 +638,8 @@ fn run_connection(state: Arc<State>, stream: TcpStream, conn_id: u64) {
         queue,
         conn_id,
         session: None,
+        publishes: Vec::new(),
+        matched: Vec::new(),
     };
     let exit = ctx.serve();
 
@@ -641,30 +674,63 @@ fn run_connection(state: Arc<State>, stream: TcpStream, conn_id: u64) {
     state.live.lock().remove(&conn_id);
 }
 
+/// Sends everything the queue holds per drain: the popped frames are
+/// copied into one reused buffer and written together, up to the first
+/// `Close` (which ends the connection after the frames ahead of it) or
+/// injected write failure (which ends it before that frame).
 fn writer_loop(queue: Arc<OutQueue<Out>>, mut sock: TcpStream, conn_id: u64) {
-    while let Some(msg) = queue.pop() {
-        match msg {
-            Out::Frame(bytes) => {
-                match faults::hit(points::NET_NOTIFY_WRITE, conn_id as usize) {
-                    Some(FaultAction::Delay(ms)) => thread::sleep(Duration::from_millis(ms)),
-                    Some(_) => break, // Injected write failure: sever mid-delivery.
-                    None => {}
-                }
-                if sock.write_all(&bytes).is_err() {
+    let mut popped = Vec::new();
+    // Sized once: growing it by doubling would leave a trail of freed
+    // blocks behind in this thread's heap.
+    let mut buf = Vec::with_capacity(WRITE_CHUNK_BYTES);
+    let mut frames = 0;
+    'drain: while queue.pop_all(&mut popped) {
+        let mut stop = false;
+        for msg in popped.drain(..) {
+            let Out::Frame(bytes) = msg else {
+                stop = true;
+                break;
+            };
+            match faults::hit(points::NET_NOTIFY_WRITE, conn_id as usize) {
+                Some(FaultAction::Delay(ms)) => thread::sleep(Duration::from_millis(ms)),
+                Some(_) => {
+                    // Injected write failure: sever mid-delivery.
+                    stop = true;
                     break;
                 }
-                FRAMES_OUT.inc();
+                None => {}
             }
-            Out::Close => {
-                let _ = sock.flush();
-                break;
+            buf.extend_from_slice(&bytes);
+            frames += 1;
+            if buf.len() >= WRITE_CHUNK_BYTES && !write_frames(&mut sock, &mut buf, &mut frames) {
+                break 'drain;
             }
+        }
+        if !buf.is_empty() && !write_frames(&mut sock, &mut buf, &mut frames) {
+            break;
+        }
+        buf.shrink_to(WRITE_CHUNK_BYTES);
+        if stop {
+            break;
         }
     }
     // Whatever ended the loop, make the death observable: wake producers
     // blocked on the queue and error out the peer (and our reader).
     queue.close();
     let _ = sock.shutdown(Shutdown::Both);
+}
+
+/// Writes the gathered frames in one call and empties `buf`. `false`
+/// means the socket failed.
+fn write_frames(sock: &mut TcpStream, buf: &mut Vec<u8>, frames: &mut u64) -> bool {
+    if sock.write_all(buf).is_err() {
+        return false;
+    }
+    WRITES.inc();
+    FRAMES_OUT.add(*frames);
+    *frames = 0;
+    buf.clear();
+    true
 }
 
 struct ConnCtx<'a> {
@@ -674,6 +740,11 @@ struct ConnCtx<'a> {
     conn_id: u64,
     /// Set once the handshake completes: session token + delivery handle.
     session: Option<(u64, Arc<Delivery>)>,
+    /// The batch's `Publish` frames not yet answered: (req, event), in
+    /// request order.
+    publishes: Vec<(u32, WireEvent)>,
+    /// The batch's match sets, one per valid publish (reused).
+    matched: Vec<Vec<SubscriptionId>>,
 }
 
 impl ConnCtx<'_> {
@@ -697,15 +768,18 @@ impl ConnCtx<'_> {
     /// Reads and processes frames until the connection ends.
     fn serve(&mut self) -> Exit {
         let mut reader = FrameReader::new();
-        let mut buf = [0u8; 8192];
+        let Ok(stream) = self.stream.try_clone() else {
+            return Exit::Severed;
+        };
+        let mut input = BufReader::with_capacity(READ_BUF_BYTES, stream);
         let mut last_activity = Instant::now();
         loop {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 return Exit::Severed;
             }
-            let n = match self.stream.read(&mut buf) {
-                Ok(0) => return Exit::Graceful,
-                Ok(n) => n,
+            let bytes = match input.fill_buf() {
+                Ok([]) => return Exit::Graceful,
+                Ok(bytes) => bytes,
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -727,36 +801,60 @@ impl ConnCtx<'_> {
                 Err(_) => return Exit::Severed,
             };
             last_activity = Instant::now();
-            reader.extend(&buf[..n]);
-            loop {
-                match reader.next_frame() {
-                    Ok(Some(frame)) => {
-                        FRAMES_IN.inc();
-                        match faults::hit(points::NET_FRAME_READ, self.conn_id as usize) {
-                            Some(FaultAction::Delay(ms)) => {
-                                thread::sleep(Duration::from_millis(ms))
-                            }
-                            Some(_) => return Exit::Severed, // Kill mid-stream.
-                            None => {}
-                        }
-                        if let Some(exit) = self.handle(frame) {
-                            return exit;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        // Framing is lost; report once and close. The
-                        // graceful exit flushes this error to the peer.
-                        BAD_FRAMES.inc();
-                        self.send_error(0, ErrorCode::BadFrame, e.to_string());
-                        return Exit::Graceful;
-                    }
-                }
+            READS.inc();
+            reader.extend(bytes);
+            let n = bytes.len();
+            input.consume(n);
+            if let Some(exit) = self.handle_batch(&mut reader) {
+                return exit;
             }
         }
     }
 
-    /// Processes one frame. `Some(exit)` ends the connection.
+    /// Handles every complete frame `reader` holds as one batch, and never
+    /// waits for more bytes. Publishes gather in [`ConnCtx::publishes`];
+    /// any other frame — and the end of the buffered bytes — answers them
+    /// first, so every reply keeps its request's position.
+    fn handle_batch(&mut self, reader: &mut FrameReader) -> Option<Exit> {
+        loop {
+            let frame = match reader.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return self.flush_publishes(),
+                Err(e) => {
+                    // Framing is lost: answer the frames before it, report
+                    // once and close. The graceful exit flushes this error
+                    // to the peer.
+                    if let Some(exit) = self.flush_publishes() {
+                        return Some(exit);
+                    }
+                    BAD_FRAMES.inc();
+                    self.send_error(0, ErrorCode::BadFrame, e.to_string());
+                    return Some(Exit::Graceful);
+                }
+            };
+            FRAMES_IN.inc();
+            match faults::hit(points::NET_FRAME_READ, self.conn_id as usize) {
+                Some(FaultAction::Delay(ms)) => thread::sleep(Duration::from_millis(ms)),
+                Some(_) => {
+                    // Kill mid-stream, after the frames before this one.
+                    let _ = self.flush_publishes();
+                    return Some(Exit::Severed);
+                }
+                None => {}
+            }
+            if !matches!(frame, Frame::Publish { .. }) {
+                if let Some(exit) = self.flush_publishes() {
+                    return Some(exit);
+                }
+            }
+            if let Some(exit) = self.handle(frame) {
+                return Some(exit);
+            }
+        }
+    }
+
+    /// Processes one frame (a handshaken connection's `Publish` only joins
+    /// the batch). `Some(exit)` ends the connection.
     fn handle(&mut self, frame: Frame) -> Option<Exit> {
         // Pings are answered at any point — even before the handshake —
         // so a client can probe liveness without committing to a session.
@@ -791,7 +889,10 @@ impl ConnCtx<'_> {
             }
             Frame::Subscribe { req, preds } => self.handle_subscribe(req, &preds),
             Frame::Unsubscribe { req, id } => self.handle_unsubscribe(req, id),
-            Frame::Publish { req, event } => self.handle_publish(req, &event),
+            Frame::Publish { req, event } => {
+                self.publishes.push((req, event));
+                None
+            }
             Frame::Notify { .. } | Frame::Ack(_) | Frame::Error { .. } | Frame::Pong { .. } => {
                 self.send_error(0, ErrorCode::BadRequest, "server-only frame");
                 None
@@ -1136,94 +1237,161 @@ impl ConnCtx<'_> {
         None
     }
 
-    fn handle_publish(&mut self, req: u32, wire: &WireEvent) -> Option<Exit> {
-        let event = match wire_event(&self.state.broker, wire) {
-            Ok(event) => event,
-            Err(e) => {
-                self.send_error(req, ErrorCode::BadRequest, e.to_string());
-                return None;
-            }
-        };
-        let matched = self.state.broker.publish(&event);
-        deliver(self.state, &matched, wire);
-        let ack = Frame::Ack(Ack::Publish {
-            req,
-            matched: matched.len() as u32,
+    /// Answers the gathered publishes as one batch: every event is
+    /// interned under one vocabulary hold, the valid ones are matched by one
+    /// `publish_batch_into` call and fanned out together, and the acks —
+    /// with an `Error` in place of each event that failed validation — go
+    /// to this connection's queue in one push, in request order.
+    fn flush_publishes(&mut self) -> Option<Exit> {
+        if self.publishes.is_empty() {
+            return None;
+        }
+        PUBLISH_BATCHES.inc();
+        let broker = &self.state.broker;
+        let pairs = broker.with_vocab(|vocab| {
+            self.publishes
+                .iter()
+                .map(|(_, wire)| intern_pairs(vocab, wire))
+                .collect::<Vec<_>>()
         });
-        if !self.send(&ack) {
+        let mut events = Vec::with_capacity(pairs.len());
+        let mut wires = Vec::with_capacity(pairs.len());
+        // Per publish: its index in `events`, or why it was refused.
+        let outcomes: Vec<Result<usize, TypeError>> = pairs
+            .into_iter()
+            .zip(&self.publishes)
+            .map(|(pairs, (_, wire))| {
+                let event = Event::from_pairs(pairs)?;
+                events.push(event);
+                wires.push(wire);
+                Ok(events.len() - 1)
+            })
+            .collect();
+        let matched = &mut self.matched;
+        broker.publish_batch_into(&events, matched);
+        deliver(self.state, matched, &wires);
+        let mut replies: Vec<Out> = self
+            .publishes
+            .iter()
+            .zip(outcomes)
+            .map(|((req, _), outcome)| {
+                let frame = match outcome {
+                    Ok(k) => Frame::Ack(Ack::Publish {
+                        req: *req,
+                        matched: matched[k].len() as u32,
+                    }),
+                    Err(e) => Frame::Error {
+                        req: *req,
+                        code: ErrorCode::BadRequest,
+                        msg: e.to_string(),
+                    },
+                };
+                Out::Frame(frame.to_bytes())
+            })
+            .collect();
+        self.publishes.clear();
+        if self.queue.push_all_blocking(&mut replies).is_err() {
             return Some(Exit::Severed);
         }
         None
     }
 }
 
-/// Fans one published event out to the sessions owning the matched
-/// subscriptions, applying the delivery backpressure policy per session.
-fn deliver(state: &State, matched: &[SubscriptionId], event: &WireEvent) {
-    if matched.is_empty() {
-        return;
-    }
-    // Group matched ids by owning session under the registry lock, then
-    // release it: enqueueing may block (Block policy) and must only ever
-    // hold the target session's delivery lock.
-    let mut targets: Vec<(Arc<Delivery>, Vec<u32>)> = Vec::new();
+/// One session's notifies in a batch, in event order: each event it
+/// matched (an index into the batch) with its ids there, sorted.
+type Notifies = Vec<(usize, Vec<u32>)>;
+
+/// Fans one batch's match sets (`matched[k]` for the event `wires[k]`) out
+/// to the sessions owning the matched subscriptions. One registry hold
+/// groups the whole batch by session; then each session gets one delivery
+/// lock hold and one queue push carrying its notifies in event order, with
+/// the delivery policy applied to each notify.
+fn deliver(state: &State, matched: &[Vec<SubscriptionId>], wires: &[&WireEvent]) {
+    let mut targets: Vec<(Arc<Delivery>, Notifies)> = Vec::new();
     {
+        // Group under the registry lock, then release it: enqueueing may
+        // block (Block policy) and must only ever hold the target
+        // session's delivery lock.
         let reg = state.registry.lock();
-        let mut by_token: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        for id in matched {
-            if let Some(token) = reg.owner.get(&id.0) {
-                by_token.entry(*token).or_default().push(id.0);
-            }
-        }
-        for (token, mut ids) in by_token {
-            ids.sort_unstable();
-            if let Some(session) = reg.sessions.get(&token) {
-                targets.push((Arc::clone(&session.delivery), ids));
+        let mut slot: FxHashMap<u64, usize> = FxHashMap::default();
+        for (k, ids) in matched.iter().enumerate() {
+            for id in ids {
+                let Some(&token) = reg.owner.get(&id.0) else {
+                    continue;
+                };
+                let t = match slot.get(&token) {
+                    Some(&t) => t,
+                    None => {
+                        let Some(session) = reg.sessions.get(&token) else {
+                            continue;
+                        };
+                        targets.push((Arc::clone(&session.delivery), Vec::new()));
+                        slot.insert(token, targets.len() - 1);
+                        targets.len() - 1
+                    }
+                };
+                let notifies = &mut targets[t].1;
+                match notifies.last_mut() {
+                    Some((last, ids)) if *last == k => ids.push(id.0),
+                    _ => notifies.push((k, vec![id.0])),
+                }
             }
         }
     }
-    for (delivery, ids) in targets {
+    for (delivery, notifies) in targets {
         let mut st = delivery.state.lock();
+        // Every notify consumes its seq, whatever befalls it: a gap marks
+        // each one the subscriber will not see.
+        let n = notifies.len() as u64;
+        let first_seq = st.next_seq;
+        st.next_seq += n;
         let Some(conn) = st.conn.as_ref() else {
-            NOTIFIES_DROPPED_DETACHED.inc();
-            st.next_seq += 1; // Consume the seq: the gap marks the miss.
+            NOTIFIES_DROPPED_DETACHED.add(n);
             continue;
         };
-        let frame = Frame::Notify {
-            seq: st.next_seq,
-            ids,
-            event: event.clone(),
-        };
-        let bytes = Out::Frame(frame.to_bytes());
+        let mut frames: Vec<Out> = notifies
+            .into_iter()
+            .zip(first_seq..)
+            .map(|((k, ids), seq)| {
+                let frame = Frame::Notify {
+                    seq,
+                    ids,
+                    event: wires[k].clone(),
+                };
+                Out::Frame(frame.to_bytes())
+            })
+            .collect();
         let result = match state.config.delivery {
-            Backpressure::Block => conn.queue.push_blocking(bytes),
-            Backpressure::Shed | Backpressure::ErrorFast => conn.queue.try_push(bytes),
+            Backpressure::Block => conn.queue.push_all_blocking(&mut frames),
+            Backpressure::Shed | Backpressure::ErrorFast => {
+                conn.queue.try_push_all(&mut frames).map(|_| ())
+            }
         };
-        match result {
-            Ok(()) => st.next_seq += 1,
-            Err(PushError::Full) => match state.config.delivery {
-                Backpressure::Shed => {
-                    NOTIFIES_SHED.inc();
-                    st.next_seq += 1; // Gap marks the shed delivery.
+        // What is left in `frames` was not enqueued.
+        let left = frames.len() as u64;
+        if left == 0 {
+            continue;
+        }
+        match (result, state.config.delivery) {
+            (Ok(()), Backpressure::Shed) => NOTIFIES_SHED.add(left),
+            (Ok(()), Backpressure::ErrorFast) => {
+                // Too slow: disconnect the subscriber at the first notify
+                // that does not fit; the rest take the detached path. Its
+                // session survives and can resume later.
+                ERRORFAST_DISCONNECTS.inc();
+                if let Some(conn) = st.conn.take() {
+                    conn.kill();
                 }
-                Backpressure::ErrorFast => {
-                    // Too slow: disconnect the subscriber. Its session
-                    // survives and can resume later.
-                    ERRORFAST_DISCONNECTS.inc();
-                    if let Some(conn) = st.conn.take() {
-                        conn.kill();
-                    }
-                    st.detached_at = Some(Instant::now());
-                    st.next_seq += 1;
-                }
-                Backpressure::Block => unreachable!("blocking push never reports Full"),
-            },
-            Err(PushError::Closed) => {
-                // The connection died under us; detach so later notifies
-                // take the cheap detached path.
+                st.detached_at = Some(Instant::now());
+                NOTIFIES_DROPPED_DETACHED.add(left - 1);
+            }
+            (Ok(()), Backpressure::Block) => unreachable!("a blocking push enqueues everything"),
+            (Err(_), _) => {
+                // The connection died under us; detach so the rest, and
+                // later notifies, take the cheap detached path.
                 st.conn = None;
                 st.detached_at = Some(Instant::now());
-                st.next_seq += 1;
+                NOTIFIES_DROPPED_DETACHED.add(left - 1);
             }
         }
     }
@@ -1260,20 +1428,18 @@ fn wire_subscription(
     Subscription::from_predicates(predicates)
 }
 
-/// Interns a wire event and validates it (duplicate attributes rejected).
-fn wire_event(broker: &SharedBroker, wire: &WireEvent) -> Result<Event, TypeError> {
-    let pairs = broker.with_vocab(|vocab| {
-        wire.pairs
-            .iter()
-            .map(|(attr, value)| {
-                let attr = vocab.attr(attr);
-                let value = match value {
-                    WireValue::Int(i) => Value::Int(*i),
-                    WireValue::Str(s) => vocab.string(s),
-                };
-                (attr, value)
-            })
-            .collect::<Vec<_>>()
-    });
-    Event::from_pairs(pairs)
+/// Interns a wire event's pairs; [`Event::from_pairs`] validates them
+/// (duplicate attributes rejected).
+fn intern_pairs(vocab: &mut Vocabulary, wire: &WireEvent) -> Vec<(AttrId, Value)> {
+    wire.pairs
+        .iter()
+        .map(|(attr, value)| {
+            let attr = vocab.attr(attr);
+            let value = match value {
+                WireValue::Int(i) => Value::Int(*i),
+                WireValue::Str(s) => vocab.string(s),
+            };
+            (attr, value)
+        })
+        .collect()
 }

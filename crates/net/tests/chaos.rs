@@ -394,3 +394,139 @@ fn follower_converges_through_injected_accept_and_stream_failures() {
     follower.stop();
     server.shutdown();
 }
+
+/// Fault points keep their per-frame meaning when frames arrive and leave
+/// in batches.
+mod batched {
+    use super::*;
+    use pubsub_net::{Ack, Frame, FrameReader, PROTOCOL_VERSION};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    fn eid_event(eid: i64) -> WireEvent {
+        WireEvent {
+            pairs: vec![
+                ("k".into(), WireValue::Int(7)),
+                ("eid".into(), WireValue::Int(eid)),
+            ],
+        }
+    }
+
+    fn eid_of(event: &WireEvent) -> i64 {
+        match event.pairs[1] {
+            (_, WireValue::Int(eid)) => eid,
+            _ => panic!("eid pair expected"),
+        }
+    }
+
+    /// A raw, handshaken publisher connection.
+    fn raw_publisher(addr: std::net::SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(
+                &Frame::Hello {
+                    proto: PROTOCOL_VERSION,
+                    token: 0,
+                }
+                .to_bytes(),
+            )
+            .unwrap();
+        let mut reader = FrameReader::new();
+        let mut buf = [0u8; 256];
+        loop {
+            if let Some(frame) = reader.next_frame().unwrap() {
+                assert!(matches!(frame, Frame::Ack(Ack::Hello { .. })));
+                return stream;
+            }
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "hello refused");
+            reader.extend(&buf[..n]);
+        }
+    }
+
+    /// Publishes events `1..=n` in one `write_all`.
+    fn pipelined_publishes(stream: &mut TcpStream, n: i64) {
+        let mut bytes = Vec::new();
+        for eid in 1..=n {
+            Frame::Publish {
+                req: eid as u32,
+                event: eid_event(eid),
+            }
+            .write_to(&mut bytes);
+        }
+        stream.write_all(&bytes).unwrap();
+    }
+
+    /// Every notify the client receives until its stream goes quiet or
+    /// dies, as (seq, eid).
+    fn received(client: &mut Client) -> Vec<(u64, i64)> {
+        let mut out = Vec::new();
+        while let Ok(Some(n)) = client.next_notify(Duration::from_millis(300)) {
+            out.push((n.seq, eid_of(&n.event)));
+        }
+        out
+    }
+
+    #[test]
+    fn frame_read_kill_mid_batch_delivers_the_frames_before_it() {
+        let _guard = SERIAL.lock().unwrap();
+        if !faults::enabled() {
+            return;
+        }
+        faults::clear();
+        let server = server();
+        let addr = server.local_addr();
+        let mut subscriber = Client::connect(addr).expect("connect subscriber"); // lane 0
+        subscriber
+            .subscribe(vec![eq_pred("k", 7)])
+            .expect("subscribe");
+        let mut publisher = raw_publisher(addr); // lane 1
+                                                 // Counting from arming: the 5th inbound frame on the publisher's
+                                                 // lane is publish 5 of the pipelined ten.
+        faults::arm(
+            points::NET_FRAME_READ,
+            Some(1),
+            FaultAction::Fail,
+            Schedule::Nth(5),
+        );
+        pipelined_publishes(&mut publisher, 10);
+        let got = received(&mut subscriber);
+        faults::clear();
+        assert_eq!(
+            got,
+            vec![(1, 1), (2, 2), (3, 3), (4, 4)],
+            "publishes 1-4 are handled before the kill, 5-10 never"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn notify_write_failure_mid_batch_writes_only_the_frames_before_it() {
+        let _guard = SERIAL.lock().unwrap();
+        if !faults::enabled() {
+            return;
+        }
+        faults::clear();
+        let server = server();
+        let addr = server.local_addr();
+        let mut subscriber = Client::connect(addr).expect("connect subscriber"); // lane 0
+        subscriber
+            .subscribe(vec![eq_pred("k", 7)])
+            .expect("subscribe");
+        let mut publisher = raw_publisher(addr);
+        // Counting from arming: the subscriber's writer fails at the third
+        // notify of the batch the five pipelined publishes produce.
+        faults::arm(
+            points::NET_NOTIFY_WRITE,
+            Some(0),
+            FaultAction::Fail,
+            Schedule::Nth(3),
+        );
+        pipelined_publishes(&mut publisher, 5);
+        let got = received(&mut subscriber);
+        faults::clear();
+        assert_eq!(got, vec![(1, 1), (2, 2)], "notifies 1-2, nothing after");
+        expect_dead(&mut subscriber);
+        server.shutdown();
+    }
+}

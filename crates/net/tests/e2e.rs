@@ -268,3 +268,266 @@ fn static_matches_in_process_broker() {
 fn dynamic_matches_in_process_broker() {
     differential_run(EngineKind::Dynamic, 0xD1);
 }
+
+/// Pipelined wire order: several requests in one `write_all`, so the
+/// server reads them as one batch and must still answer each at its own
+/// position.
+mod pipelined {
+    use super::*;
+    use pubsub_net::{Ack, ErrorCode, Frame, FrameReader, PROTOCOL_VERSION};
+    use pubsub_types::metrics::MetricsSnapshot;
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+
+    /// A handshaken connection speaking raw frames.
+    struct Raw {
+        stream: TcpStream,
+        reader: FrameReader,
+    }
+
+    impl Raw {
+        fn connect(addr: SocketAddr) -> Raw {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut raw = Raw {
+                stream,
+                reader: FrameReader::new(),
+            };
+            raw.write(&[Frame::Hello {
+                proto: PROTOCOL_VERSION,
+                token: 0,
+            }]);
+            assert!(matches!(raw.read(1)[0], Frame::Ack(Ack::Hello { .. })));
+            raw
+        }
+
+        /// Writes every frame with one `write_all`.
+        fn write(&mut self, frames: &[Frame]) {
+            let mut bytes = Vec::new();
+            for frame in frames {
+                frame.write_to(&mut bytes);
+            }
+            self.stream.write_all(&bytes).expect("write");
+        }
+
+        fn read(&mut self, n: usize) -> Vec<Frame> {
+            let mut out = Vec::new();
+            let mut buf = [0u8; 4096];
+            while out.len() < n {
+                if let Some(frame) = self.reader.next_frame().expect("framing") {
+                    out.push(frame);
+                    continue;
+                }
+                let got = self.stream.read(&mut buf).expect("read");
+                assert!(got > 0, "server closed after {} frames", out.len());
+                self.reader.extend(&buf[..got]);
+            }
+            out
+        }
+    }
+
+    fn k_event(eid: i64) -> WireEvent {
+        WireEvent {
+            pairs: vec![
+                ("k".into(), WireValue::Int(1)),
+                ("eid".into(), WireValue::Int(eid)),
+            ],
+        }
+    }
+
+    fn k_pred(value: i64) -> WirePredicate {
+        WirePredicate {
+            attr: "k".into(),
+            op: Operator::Eq,
+            value: WireValue::Int(value),
+        }
+    }
+
+    fn publishes(n: u32) -> Vec<Frame> {
+        (1..=n)
+            .map(|i| Frame::Publish {
+                req: i,
+                event: k_event(i64::from(i)),
+            })
+            .collect()
+    }
+
+    fn shed_count() -> u64 {
+        MetricsSnapshot::capture()
+            .counter("net.server.notifies_shed")
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn one_write_is_answered_in_request_order() {
+        // One stripe: subscription ids are handed out in sequence, so the
+        // id the pipelined subscribe will get is known before it is sent.
+        let broker = Arc::new(SharedBroker::new(EngineKind::Counting, 1));
+        let server = Server::start(broker, "127.0.0.1:0").expect("bind loopback");
+        let mut raw = Raw::connect(server.local_addr());
+        raw.write(&[Frame::Subscribe {
+            req: 100,
+            preds: vec![k_pred(99)],
+        }]);
+        let Frame::Ack(Ack::Subscribe { id: probe, .. }) = raw.read(1)[0] else {
+            panic!("subscribe ack expected");
+        };
+        let s = probe + 1;
+
+        let duplicate = WireEvent {
+            pairs: vec![
+                ("k".into(), WireValue::Int(1)),
+                ("k".into(), WireValue::Int(2)),
+            ],
+        };
+        raw.write(&[
+            Frame::Publish {
+                req: 1,
+                event: k_event(1),
+            },
+            Frame::Subscribe {
+                req: 2,
+                preds: vec![k_pred(1)],
+            },
+            Frame::Publish {
+                req: 3,
+                event: k_event(2),
+            },
+            Frame::Publish {
+                req: 4,
+                event: duplicate,
+            },
+            Frame::Unsubscribe { req: 5, id: s },
+            Frame::Publish {
+                req: 6,
+                event: k_event(3),
+            },
+            Frame::Ping { nonce: 7 },
+        ]);
+        let replies = raw.read(8);
+        assert_eq!(
+            replies[..4],
+            [
+                Frame::Ack(Ack::Publish { req: 1, matched: 0 }),
+                Frame::Ack(Ack::Subscribe { req: 2, id: s }),
+                Frame::Notify {
+                    seq: 1,
+                    ids: vec![s],
+                    event: k_event(2),
+                },
+                Frame::Ack(Ack::Publish { req: 3, matched: 1 }),
+            ],
+            "e1 precedes s and misses it; e2 follows s and matches it"
+        );
+        assert!(
+            matches!(
+                replies[4],
+                Frame::Error {
+                    req: 4,
+                    code: ErrorCode::BadRequest,
+                    ..
+                }
+            ),
+            "the bad publish is refused in place, got {:?}",
+            replies[4]
+        );
+        assert_eq!(
+            replies[5..],
+            [
+                Frame::Ack(Ack::Unsubscribe {
+                    req: 5,
+                    existed: true
+                }),
+                Frame::Ack(Ack::Publish { req: 6, matched: 0 }),
+                Frame::Pong { nonce: 7 },
+            ],
+            "e3 follows the unsubscribe and misses s"
+        );
+        server.shutdown();
+    }
+
+    /// A subscriber with room for two frames, a 64-publish burst in one
+    /// write, and a marker publish afterwards whose seq closes the range.
+    fn burst_into_tiny_queue(delivery: Backpressure) -> (Server, u64, u32, Vec<u64>) {
+        let broker = Arc::new(SharedBroker::new(EngineKind::Counting, 2));
+        let config = ServerConfig {
+            queue_capacity: 2,
+            delivery,
+            ..ServerConfig::default()
+        };
+        let server = Server::start_with(broker, "127.0.0.1:0", config).expect("bind loopback");
+        let mut subscriber = Client::connect(server.local_addr()).expect("connect");
+        let id = subscriber.subscribe(vec![k_pred(1)]).expect("subscribe");
+        let token = subscriber.token();
+        let mut publisher = Raw::connect(server.local_addr());
+        publisher.write(&publishes(64));
+        for (i, reply) in publisher.read(64).into_iter().enumerate() {
+            assert_eq!(
+                reply,
+                Frame::Ack(Ack::Publish {
+                    req: i as u32 + 1,
+                    matched: 1
+                })
+            );
+        }
+        // Read until the stream goes quiet or dies (ErrorFast cuts it).
+        let mut seqs = Vec::new();
+        while let Ok(Some(n)) = subscriber.next_notify(Duration::from_millis(300)) {
+            assert_eq!(n.ids, vec![id]);
+            seqs.push(n.seq);
+        }
+        (server, token, id, seqs)
+    }
+
+    #[test]
+    fn shed_gaps_equal_the_shed_counter() {
+        let shed_before = shed_count();
+        let (server, token, id, mut seqs) = burst_into_tiny_queue(Backpressure::Shed);
+        // The burst arrives as one batch, far larger than the queue: the
+        // notifies that do not fit are shed one by one.
+        let shed = shed_count() - shed_before;
+        let mut subscriber = Client::resume(server.local_addr(), token).expect("resume");
+        let mut publisher = Client::connect(server.local_addr()).expect("connect");
+        assert_eq!(publisher.publish(k_event(65)).expect("publish"), 1);
+        let marker = subscriber
+            .next_notify(Duration::from_secs(5))
+            .expect("stream")
+            .expect("marker delivered");
+        assert_eq!(marker.ids, vec![id]);
+        seqs.push(marker.seq);
+        assert_eq!(marker.seq, 65, "every notify consumed its seq");
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");
+        let gaps = 65 - seqs.len() as u64;
+        assert!(gaps > 0, "a 64-notify batch into 2 slots must shed");
+        if pubsub_types::metrics::enabled() {
+            assert_eq!(gaps, shed, "every gap is one shed notify");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn error_fast_burst_detaches_and_resume_reports_the_gap() {
+        let (server, token, id, seqs) = burst_into_tiny_queue(Backpressure::ErrorFast);
+        assert!(seqs.len() < 64, "the laggard was cut off mid-burst");
+        assert_eq!(
+            seqs,
+            (1..=seqs.len() as u64).collect::<Vec<_>>(),
+            "what arrived before the cut is the gap-free prefix"
+        );
+        let mut resumed = Client::resume(server.local_addr(), token).expect("resume");
+        assert_eq!(resumed.resumed(), &[id], "the session survived");
+        let mut publisher = Client::connect(server.local_addr()).expect("connect");
+        assert_eq!(publisher.publish(k_event(65)).expect("publish"), 1);
+        let next = resumed
+            .next_notify(Duration::from_secs(5))
+            .expect("stream")
+            .expect("post-resume delivery");
+        assert_eq!(
+            next.seq, 65,
+            "the burst consumed seqs 1..=64; the gap shows what was missed"
+        );
+        server.shutdown();
+    }
+}

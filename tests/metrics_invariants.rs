@@ -214,6 +214,121 @@ mod enabled {
         );
     }
 
+    /// The network server batches what one read brings in and drains its
+    /// queues whole: 64 publishes in one `write_all` are fewer than 64
+    /// publish batches and fewer writes than frames, while a paced single
+    /// publish is one batch, one notify, and one write per frame.
+    #[test]
+    fn pipelined_publishes_batch_and_coalesce_writes() {
+        use fastpubsub::net::{
+            Ack, Client, Frame, FrameReader, Server, WireEvent, WirePredicate, WireValue,
+            PROTOCOL_VERSION,
+        };
+        use std::io::{Read, Write};
+        use std::net::TcpStream;
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+
+        let _guard = METRICS_LOCK.lock().unwrap();
+        metrics::reset_all();
+        let broker = Arc::new(SharedBroker::new(EngineKind::Counting, 2));
+        let server = Server::start(broker, "127.0.0.1:0").expect("bind loopback");
+        let mut subscriber = Client::connect(server.local_addr()).expect("connect");
+        subscriber
+            .subscribe(vec![WirePredicate {
+                attr: "k".into(),
+                op: Operator::Eq,
+                value: WireValue::Int(1),
+            }])
+            .expect("subscribe");
+        let mut publisher = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut reader = FrameReader::new();
+        let mut read_frames = |stream: &mut TcpStream, n: usize| {
+            let mut buf = [0u8; 4096];
+            let mut got = 0;
+            while got < n {
+                if let Some(frame) = reader.next_frame().expect("framing") {
+                    assert!(matches!(frame, Frame::Ack(_)), "{frame:?}");
+                    got += 1;
+                    continue;
+                }
+                let read = stream.read(&mut buf).expect("read");
+                assert!(read > 0, "server closed");
+                reader.extend(&buf[..read]);
+            }
+        };
+        let send = |stream: &mut TcpStream, frames: &[Frame]| {
+            let mut bytes = Vec::new();
+            for frame in frames {
+                frame.write_to(&mut bytes);
+            }
+            stream.write_all(&bytes).expect("write");
+        };
+        send(
+            &mut publisher,
+            &[Frame::Hello {
+                proto: PROTOCOL_VERSION,
+                token: 0,
+            }],
+        );
+        read_frames(&mut publisher, 1);
+        let publish = |req: u32| Frame::Publish {
+            req,
+            event: WireEvent {
+                pairs: vec![("k".into(), WireValue::Int(1))],
+            },
+        };
+        // [frames_out, writes, publish_batches]; a writer counts its write
+        // just after the bytes leave, so wait for the frames to be counted.
+        let counts = || {
+            let snap = MetricsSnapshot::capture();
+            ["frames_out", "writes", "publish_batches"]
+                .map(|name| snap.counter(&format!("net.server.{name}")).unwrap_or(0))
+        };
+        let settle = |before: [u64; 3], frames: u64| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let now = counts();
+                let delta = [0, 1, 2].map(|k| now[k] - before[k]);
+                if delta[0] >= frames || Instant::now() > deadline {
+                    return delta;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+
+        // Two hello acks and a subscribe ack so far.
+        settle([0; 3], 3);
+        let before = counts();
+        send(&mut publisher, &[publish(1)]);
+        read_frames(&mut publisher, 1);
+        let notify = subscriber
+            .next_notify(Duration::from_secs(5))
+            .expect("read");
+        assert!(notify.is_some(), "the paced publish is delivered");
+        assert_eq!(
+            settle(before, 2),
+            [2, 2, 1],
+            "one ack and one notify, one write each, one batch"
+        );
+
+        let before = counts();
+        send(&mut publisher, &(2..66).map(publish).collect::<Vec<_>>());
+        read_frames(&mut publisher, 64);
+        let delivered = subscriber
+            .drain_notifies(Duration::from_millis(200))
+            .expect("drain");
+        assert_eq!(delivered.len(), 64);
+        let [frames_out, writes, batches] = settle(before, 128);
+        assert_eq!(frames_out, 128, "64 acks and 64 notifies");
+        assert!(batches < 64, "64 pipelined publishes in {batches} batches");
+        assert!(
+            writes < frames_out,
+            "{frames_out} frames in {writes} writes"
+        );
+        server.shutdown();
+    }
+
     #[test]
     fn histograms_record_phase_latencies() {
         let _guard = METRICS_LOCK.lock().unwrap();

@@ -1,12 +1,9 @@
-//! Phase-1 evaluator shoot-out: flat snapshot index vs. B+-tree range scans.
+//! Phase-1 evaluator micro-bench on the flat snapshot index.
 //!
-//! Both paths answer the same question — which ordered predicates does an
-//! event pair satisfy — over identical `PredicateIndex` contents. The
-//! snapshot path resolves each direction with one binary search plus a
-//! contiguous remap-table run (bulk bit-set); the B+-tree path walks linked
-//! leaves testing per-key operator slots. The sweep scales the number of
-//! range predicates per attribute; the acceptance bar is the snapshot
-//! winning from 1k predicates per attribute up.
+//! The `snapshot` rows answer which ordered predicates an event satisfies
+//! one event at a time: per attribute and direction, one binary search plus
+//! a contiguous remap-table run (bulk bit-set). The sweep scales the number
+//! of range predicates per attribute.
 //!
 //! The `snapshot_batched64` rows drive the same workload through the
 //! attribute-major `eval_batch_into` path, 64 events per iteration (divide
@@ -53,20 +50,6 @@ fn bench_phase1_micro(c: &mut Criterion) {
                         batch.clear_event(i);
                     }
                     total
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("btree", preds_per_attr),
-            &preds_per_attr,
-            |b, _| {
-                let mut i = 0;
-                b.iter(|| {
-                    satisfied.clear();
-                    idx.eval_into_btree(&events[i % events.len()], &mut bits, &mut satisfied);
-                    bits.clear();
-                    i += 1;
-                    satisfied.len()
                 })
             },
         );

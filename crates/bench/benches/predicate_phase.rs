@@ -1,5 +1,5 @@
 //! Phase-1 micro-benchmarks: predicate evaluation through the equality hash
-//! index, the B+-tree interval index, and the `≠` list index.
+//! index, the ordered snapshot index, and the `≠` list index.
 //!
 //! The paper reports the predicate phase costs 1.3 ms per event at 6M
 //! subscriptions / 32 attributes / domain 35 (it is shared by all engines);
@@ -58,33 +58,5 @@ fn bench_predicate_phase(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bptree_range(c: &mut Criterion) {
-    use pubsub_index::BPlusTree;
-    use std::ops::Bound;
-    let mut group = c.benchmark_group("bptree");
-    for &n in &[1_000i64, 100_000] {
-        let mut tree = BPlusTree::new();
-        for i in 0..n {
-            tree.insert(i, i);
-        }
-        group.bench_with_input(BenchmarkId::new("point-get", n), &n, |b, &n| {
-            let mut k = 0;
-            b.iter(|| {
-                k = (k + 7919) % n;
-                tree.get(&k).copied()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("scan-100", n), &n, |b, &n| {
-            let mut k = 0;
-            b.iter(|| {
-                k = (k + 7919) % n;
-                tree.range(Bound::Included(k), Bound::Excluded(k + 100))
-                    .count()
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_predicate_phase, bench_bptree_range);
+criterion_group!(benches, bench_predicate_phase);
 criterion_main!(benches);

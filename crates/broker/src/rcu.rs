@@ -1,14 +1,14 @@
 //! Published engine snapshots for the lock-free publish path of
 //! [`crate::shared::SharedBroker`].
 //!
-//! Each stripe's subscription set is published as a [`ShardSnap`]: a short
+//! Each stripe's subscription set is published as a `ShardSnap`: a short
 //! list of *frozen tiers* plus an *L0* of at most 32 subscriptions added
 //! since the newest tier was built. A tier is an immutable phase-2 engine
 //! (built by [`pubsub_core::build_tier`], shared by `Arc`) with its own
 //! sorted *tombstones*: the ids removed from it since it was built.
 //!
 //! Every tier of every stripe is built against the ids of one broker-wide
-//! [`Registry`], and a [`BrokerSnapshot`] publishes its index beside the
+//! `Registry`, and a `BrokerSnapshot` publishes its index beside the
 //! stripes. A publish runs phase 1 once against that copy, then
 //! every tier's phase 2 on the one bit vector, drops each tier's
 //! tombstoned ids, and brute-forces L0 (which needs no ids).
@@ -24,7 +24,7 @@
 //! O(log n) tiers, and a flip clones at most 32 L0 handles plus one handle
 //! per tier — no reader ever brute-forces more than L0.
 //!
-//! A [`BrokerSnapshot`] is one consistent cut across all stripes; the writer
+//! A `BrokerSnapshot` is one consistent cut across all stripes; the writer
 //! publishes it through a [`pubsub_core::RcuCell`] after every mutation that
 //! changes a stripe.
 

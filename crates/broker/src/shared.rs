@@ -2,13 +2,13 @@
 //!
 //! The matching engines are single-writer structures. `SharedBroker` splits
 //! the subscription set across `N` stripes (`stripe = id mod N`), each a
-//! plain subscription table ([`crate::table::SubTable`]: ids, validities,
-//! expiry, clock) next to the [`ShardSnap`] published from it. All stripes,
+//! plain subscription table (`SubTable`: ids, validities,
+//! expiry, clock) next to the `ShardSnap` published from it. All stripes,
 //! and the predicate registry their tiers share, live inside one writer
 //! mutex.
 //!
 //! **Publishes take no locks at all**: every mutation that changes a stripe
-//! publishes an immutable [`crate::rcu::BrokerSnapshot`] through an
+//! publishes an immutable `BrokerSnapshot` through an
 //! epoch-protected [`pubsub_core::RcuCell`], and publishers pin the current
 //! snapshot, match it with per-thread scratch (phase 1 once against the
 //! snapshot's broker-wide predicate index, then every tier's phase 2 on its

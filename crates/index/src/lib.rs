@@ -3,8 +3,6 @@
 //!
 //! Contents:
 //!
-//! * [`bptree`] — a from-scratch arena-based B+-tree with linked leaves,
-//!   the "simple B-Trees for inequalities" of paper §2.3.
 //! * [`bitvec`] — the predicate bit vector of Figure 1, with O(touched)
 //!   clearing.
 //! * [`registry`] — predicate interning with reference counts, the
@@ -13,9 +11,8 @@
 //! * [`snapshot`] — the flat snapshot index for ordered predicates: sorted
 //!   breakpoint arrays whose satisfied set per event value is one contiguous
 //!   run per direction, with a delta overlay and merge-rebuilds. This is the
-//!   structure [`PredicateIndex::eval_into`] actually reads on the hot path;
-//!   the B+-tree remains the reference implementation
-//!   ([`PredicateIndex::eval_into_btree`]).
+//!   one ordered index: the search for inequalities of paper §2.3 that
+//!   every phase-1 evaluator reads.
 //! * [`kernels`] — word-parallel lower-bound kernels (portable
 //!   auto-vectorized default, `std::arch` SSE2/AVX2 behind the `simd`
 //!   feature) backing the batched evaluator
@@ -25,11 +22,9 @@
 #![warn(clippy::all)]
 
 pub mod bitvec;
-pub mod bptree;
 pub mod kernels;
 pub mod registry;
 pub mod snapshot;
 
 pub use bitvec::PredicateBitVec;
-pub use bptree::BPlusTree;
 pub use registry::{Phase1Batch, PredicateId, PredicateIndex};

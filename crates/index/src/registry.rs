@@ -8,9 +8,9 @@
 //! Per attribute, the registry maintains:
 //!
 //! * a **hash index** for `=` predicates (one lookup per event pair),
-//! * a **B+-tree interval index** for `<, ≤, ≥, >` predicates (two range
-//!   scans per event pair: one ascending for `<`/`≤`, one descending for
-//!   `>`/`≥`),
+//! * a **flat snapshot index** ([`crate::snapshot`]) for `<, ≤, ≥, >`
+//!   predicates (one binary search per direction per event pair: a suffix
+//!   run for `<`/`≤`, a prefix run for `>`/`≥`),
 //! * a **list index** for `≠` predicates (scan-all-but-equal).
 //!
 //! [`PredicateIndex::eval_into`] runs the predicate phase of the matching
@@ -18,11 +18,9 @@
 //! predicate and appends the satisfied ids to a caller-provided buffer.
 
 use crate::bitvec::PredicateBitVec;
-use crate::bptree::BPlusTree;
 use crate::snapshot::OrderedSnapshot;
 use pubsub_types::metrics::{Counter, Histogram};
 use pubsub_types::{AttrId, Event, FxHashMap, Operator, Predicate, Value};
-use std::ops::Bound;
 
 /// Phase-1 evaluations answered by the flat snapshot path.
 static SNAPSHOT_EVALS: Counter = Counter::new("index.phase1.snapshot_evals");
@@ -32,9 +30,7 @@ static PHASE1_BATCHES: Counter = Counter::new("index.phase1.batches");
 static PHASE1_BATCH_EVENTS: Counter = Counter::new("index.phase1.batch_events");
 /// Distribution (log2 buckets) of batch sizes seen by the batched evaluator.
 static PHASE1_BATCH_SIZE: Histogram = Histogram::new("index.phase1.batch_size");
-/// Phase-1 evaluations answered by the B+-tree reference path.
-static BTREE_EVALS: Counter = Counter::new("index.phase1.btree_evals");
-/// Predicate bits set by phase 1 (satisfied predicates, both paths).
+/// Predicate bits set by phase 1 (satisfied predicates, scalar and batched).
 static BITS_SET: Counter = Counter::new("index.phase1.bits_set");
 /// Snapshot merge-rebuilds forced via `rebuild_snapshots`.
 static SNAPSHOT_FLUSHES: Counter = Counter::new("index.snapshot.flushes");
@@ -52,34 +48,6 @@ impl PredicateId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-/// Per-`(key, ordered-op)` slots stored in the interval index.
-///
-/// Because predicates are interned, at most one predicate exists per
-/// `(attribute, operator, constant)`, so each slot is an `Option`.
-#[derive(Debug, Default, Clone, Copy)]
-struct OpSlots {
-    lt: Option<PredicateId>,
-    le: Option<PredicateId>,
-    ge: Option<PredicateId>,
-    gt: Option<PredicateId>,
-}
-
-impl OpSlots {
-    fn slot_mut(&mut self, op: Operator) -> &mut Option<PredicateId> {
-        match op {
-            Operator::Lt => &mut self.lt,
-            Operator::Le => &mut self.le,
-            Operator::Ge => &mut self.ge,
-            Operator::Gt => &mut self.gt,
-            _ => unreachable!("OpSlots only stores ordered operators"),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.lt.is_none() && self.le.is_none() && self.ge.is_none() && self.gt.is_none()
     }
 }
 
@@ -108,18 +76,12 @@ impl NeIndex {
     }
 }
 
-/// All index structures for one attribute.
-///
-/// Ordered predicates are indexed twice: the B+-trees are the mutation-
-/// friendly reference structure (and the baseline the benchmarks compare
-/// against), while the [`OrderedSnapshot`]s are the flat evaluation fast
-/// path that [`PredicateIndex::eval_into`] actually reads.
+/// All index structures for one attribute: one per operator family. The
+/// [`OrderedSnapshot`]s hold the ordered predicates, one per value kind.
 #[derive(Debug, Default, Clone)]
 struct AttrIndex {
     eq: FxHashMap<Value, PredicateId>,
     ne: NeIndex,
-    ordered_int: BPlusTree<i64, OpSlots>,
-    ordered_str: BPlusTree<u32, OpSlots>,
     snap_int: OrderedSnapshot<i64>,
     snap_str: OrderedSnapshot<u32>,
     /// Live predicates on this attribute (any operator); 0 lets the
@@ -223,25 +185,10 @@ impl PredicateIndex {
             Operator::Ne => {
                 ai.ne.insert(pred.value, id);
             }
-            op => {
-                let slots = match pred.value {
-                    Value::Int(i) => {
-                        ai.snap_int.insert(op, i, id);
-                        if ai.ordered_int.get(&i).is_none() {
-                            ai.ordered_int.insert(i, OpSlots::default());
-                        }
-                        ai.ordered_int.get_mut(&i).expect("just inserted")
-                    }
-                    Value::Str(s) => {
-                        ai.snap_str.insert(op, s.0, id);
-                        if ai.ordered_str.get(&s.0).is_none() {
-                            ai.ordered_str.insert(s.0, OpSlots::default());
-                        }
-                        ai.ordered_str.get_mut(&s.0).expect("just inserted")
-                    }
-                };
-                *slots.slot_mut(op) = Some(id);
-            }
+            op => match pred.value {
+                Value::Int(i) => ai.snap_int.insert(op, i, id),
+                Value::Str(s) => ai.snap_str.insert(op, s.0, id),
+            },
         }
         id
     }
@@ -273,24 +220,8 @@ impl PredicateIndex {
                 ai.ne.remove(pred.value);
             }
             op => match pred.value {
-                Value::Int(i) => {
-                    ai.snap_int.remove(op, i);
-                    if let Some(slots) = ai.ordered_int.get_mut(&i) {
-                        *slots.slot_mut(op) = None;
-                        if slots.is_empty() {
-                            ai.ordered_int.remove(&i);
-                        }
-                    }
-                }
-                Value::Str(s) => {
-                    ai.snap_str.remove(op, s.0);
-                    if let Some(slots) = ai.ordered_str.get_mut(&s.0) {
-                        *slots.slot_mut(op) = None;
-                        if slots.is_empty() {
-                            ai.ordered_str.remove(&s.0);
-                        }
-                    }
-                }
+                Value::Int(i) => ai.snap_int.remove(op, i),
+                Value::Str(s) => ai.snap_str.remove(op, s.0),
             },
         }
         true
@@ -311,9 +242,7 @@ impl PredicateIndex {
     ///
     /// Ordered predicates are answered by the flat [`crate::snapshot`]
     /// evaluator — a binary search per direction plus contiguous remap-table
-    /// runs — never by the B+-tree (which
-    /// [`PredicateIndex::eval_into_btree`] keeps available as the reference
-    /// path).
+    /// runs.
     pub fn eval_into(
         &self,
         event: &Event,
@@ -522,62 +451,11 @@ impl PredicateIndex {
         BITS_SET.add(batch.cur_sat.len() as u64);
     }
 
-    /// The pre-snapshot phase-1 evaluator: identical contract to
-    /// [`PredicateIndex::eval_into`], but ordered predicates are resolved by
-    /// two B+-tree range scans per event pair. Kept as the reference
-    /// implementation for the equivalence property tests and as the baseline
-    /// of the `phase1_micro` benchmark.
-    pub fn eval_into_btree(
-        &self,
-        event: &Event,
-        bits: &mut PredicateBitVec,
-        satisfied: &mut Vec<PredicateId>,
-    ) {
-        BTREE_EVALS.inc();
-        let satisfied_before = satisfied.len();
-        bits.ensure_capacity(self.entries.len());
-        for &(attr, value) in event.pairs() {
-            let Some(ai) = self.attrs.get(attr.index()) else {
-                continue;
-            };
-            if ai.live == 0 {
-                continue;
-            }
-            if let Some(&id) = ai.eq.get(&value) {
-                bits.set(id.0);
-                satisfied.push(id);
-            }
-            for &(c, id) in &ai.ne.items {
-                if c != value {
-                    bits.set(id.0);
-                    satisfied.push(id);
-                }
-            }
-            match value {
-                Value::Int(x) => {
-                    scan_ordered(&ai.ordered_int, x, bits, satisfied);
-                }
-                Value::Str(s) => {
-                    scan_ordered(&ai.ordered_str, s.0, bits, satisfied);
-                }
-            }
-        }
-        BITS_SET.add((satisfied.len() - satisfied_before) as u64);
-    }
-
     /// Convenience wrapper for tests: evaluates and returns the satisfied set.
     pub fn eval(&self, event: &Event) -> Vec<PredicateId> {
         let mut bits = PredicateBitVec::with_capacity(self.entries.len());
         let mut out = Vec::new();
         self.eval_into(event, &mut bits, &mut out);
-        out
-    }
-
-    /// Convenience wrapper for tests: the B+-tree reference evaluation.
-    pub fn eval_btree(&self, event: &Event) -> Vec<PredicateId> {
-        let mut bits = PredicateBitVec::with_capacity(self.entries.len());
-        let mut out = Vec::new();
-        self.eval_into_btree(event, &mut bits, &mut out);
         out
     }
 
@@ -769,41 +647,6 @@ impl Phase1Batch {
             fp += bk.capacity();
         }
         fp
-    }
-}
-
-/// Pushes the satisfied ordered predicates for an event value `x`:
-/// * ascending over constants `c ≥ x`: `≤` always (x ≤ c), `<` when `c > x`;
-/// * descending over constants `c ≤ x`: `≥` always (x ≥ c), `>` when `c < x`.
-fn scan_ordered<K: Ord + Copy + std::fmt::Debug>(
-    tree: &BPlusTree<K, OpSlots>,
-    x: K,
-    bits: &mut PredicateBitVec,
-    satisfied: &mut Vec<PredicateId>,
-) {
-    for (c, slots) in tree.range(Bound::Included(x), Bound::Unbounded) {
-        if let Some(id) = slots.le {
-            bits.set(id.0);
-            satisfied.push(id);
-        }
-        if c > x {
-            if let Some(id) = slots.lt {
-                bits.set(id.0);
-                satisfied.push(id);
-            }
-        }
-    }
-    for (c, slots) in tree.range_rev(Bound::Unbounded, Bound::Included(x)) {
-        if let Some(id) = slots.ge {
-            bits.set(id.0);
-            satisfied.push(id);
-        }
-        if c < x {
-            if let Some(id) = slots.gt {
-                bits.set(id.0);
-                satisfied.push(id);
-            }
-        }
     }
 }
 

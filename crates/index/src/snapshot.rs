@@ -1,12 +1,10 @@
 //! Flat snapshot index for ordered predicates — the cache-conscious phase-1
 //! fast path.
 //!
-//! The B+-tree interval index ([`crate::bptree`]) answers an event pair with
-//! two leaf walks that chase pointers and test four `Option` slots per key.
-//! This module flattens each attribute's ordered predicates into immutable
-//! sorted arrays where the satisfied set for any event value is **one
-//! contiguous run per direction**, so evaluation is a branchless binary
-//! search plus a bulk bit-set:
+//! This module keeps each attribute's ordered predicates in immutable sorted
+//! arrays where the satisfied set for any event value is **one contiguous
+//! run per direction**, so evaluation is a branchless binary search plus a
+//! bulk bit-set:
 //!
 //! ```text
 //!              upper direction (<, ≤)            lower direction (≥, >)
@@ -32,8 +30,8 @@
 //! snapshot-resident predicates record a *tombstone position*, and the run is
 //! emitted as segments around tombstones. Once an attribute's pending
 //! mutation count exceeds [`rebuild_threshold`], the snapshot and delta are
-//! merge-rebuilt in one O(n) pass — so steady-state matching never touches
-//! the B+-tree, and churn costs amortized O(1) per mutation.
+//! merge-rebuilt in one O(n) pass — so the overlay stays small, and churn
+//! costs amortized O(1) per mutation.
 //!
 //! **Batch-major evaluation** (`eval_batch_into`): callers hand over a whole
 //! batch's `(value, event slot)` pairs sorted ascending. Because boundaries

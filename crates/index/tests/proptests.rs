@@ -1,80 +1,10 @@
-//! Property tests for the indexing substrate: the B+-tree against a
-//! `BTreeMap` oracle, and the phase-1 evaluator against brute-force
-//! predicate evaluation.
+//! Property tests for the indexing substrate: the phase-1 evaluators
+//! against brute-force predicate evaluation, and the lower-bound kernels
+//! against `slice::partition_point`.
 
 use proptest::prelude::*;
-use pubsub_index::{kernels, BPlusTree, Phase1Batch, PredicateIndex};
+use pubsub_index::{kernels, Phase1Batch, PredicateId, PredicateIndex};
 use pubsub_types::{AttrId, Event, Operator, Predicate, Symbol, Value};
-use std::collections::BTreeMap;
-use std::ops::Bound;
-
-#[derive(Debug, Clone)]
-enum TreeOp {
-    Insert(i64, u32),
-    Remove(i64),
-}
-
-fn tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (-200i64..200, any::<u32>()).prop_map(|(k, v)| TreeOp::Insert(k, v)),
-            (-200i64..200).prop_map(TreeOp::Remove),
-        ],
-        0..400,
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn bptree_matches_btreemap(ops in tree_ops(), lo in -250i64..250, hi in -250i64..250) {
-        let mut tree = BPlusTree::new();
-        let mut oracle = BTreeMap::new();
-        for op in ops {
-            match op {
-                TreeOp::Insert(k, v) => {
-                    prop_assert_eq!(tree.insert(k, v), oracle.insert(k, v));
-                }
-                TreeOp::Remove(k) => {
-                    prop_assert_eq!(tree.remove(&k), oracle.remove(&k));
-                }
-            }
-        }
-        tree.check_invariants();
-        prop_assert_eq!(tree.len(), oracle.len());
-
-        // Full iteration agrees.
-        let got: Vec<(i64, u32)> = tree.iter().map(|(k, v)| (k, *v)).collect();
-        let want: Vec<(i64, u32)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
-        prop_assert_eq!(got, want);
-
-        // Point lookups agree.
-        for k in [-250i64, -1, 0, 1, lo, hi] {
-            prop_assert_eq!(tree.get(&k), oracle.get(&k));
-        }
-
-        // Range scans agree in both directions, with every bound shape.
-        let (lo, hi) = (lo.min(hi), lo.max(hi));
-        let fwd: Vec<i64> = tree
-            .range(Bound::Included(lo), Bound::Excluded(hi))
-            .map(|(k, _)| k)
-            .collect();
-        let fwd_want: Vec<i64> = oracle.range(lo..hi).map(|(&k, _)| k).collect();
-        prop_assert_eq!(fwd, fwd_want);
-
-        let rev: Vec<i64> = tree
-            .range_rev(Bound::Excluded(lo), Bound::Included(hi))
-            .map(|(k, _)| k)
-            .collect();
-        let rev_want: Vec<i64> = oracle
-            .range((Bound::Excluded(lo), Bound::Included(hi)))
-            .rev()
-            .map(|(&k, _)| k)
-            .collect();
-        prop_assert_eq!(rev, rev_want);
-    }
-}
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -146,6 +76,20 @@ proptest! {
     }
 }
 
+/// The brute-force oracle: the distinct ids among `outstanding` interns whose
+/// predicate the event satisfies, sorted. It reads only the test's own
+/// record, never the registry's bookkeeping.
+fn brute_force(outstanding: &[(PredicateId, Predicate)], event: &Event) -> Vec<PredicateId> {
+    let mut ids: Vec<PredicateId> = outstanding
+        .iter()
+        .filter(|(_, p)| p.matches_event(event))
+        .map(|&(id, _)| id)
+        .collect();
+    ids.sort();
+    ids.dedup();
+    ids
+}
+
 /// One step of the interleaved snapshot-churn workload.
 #[derive(Debug, Clone)]
 enum ChurnOp {
@@ -153,7 +97,7 @@ enum ChurnOp {
     Intern(Predicate),
     /// Release the i-th outstanding interning reference (modulo count).
     Release(prop::sample::Index),
-    /// Evaluate an event on both phase-1 paths and compare.
+    /// Evaluate an event and compare it with brute force.
     Match(Event),
     /// Force a merge-rebuild of every attribute snapshot.
     Flush,
@@ -174,31 +118,29 @@ fn churn_ops() -> impl Strategy<Value = Vec<ChurnOp>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The snapshot evaluator and the direct B+-tree evaluation must agree
-    /// after every prefix of a random interleaving of interns, releases,
-    /// matches, and forced rebuilds — covering delta-overlay-resident,
-    /// tombstoned, and post-rebuild snapshot states.
+    /// The snapshot evaluator must agree with brute force after every
+    /// prefix of a random interleaving of interns, releases, matches, and
+    /// forced rebuilds — covering delta-overlay-resident, tombstoned, and
+    /// post-rebuild snapshot states.
     #[test]
-    fn snapshot_agrees_with_btree_under_churn(ops in churn_ops(), final_events in prop::collection::vec(arb_event(), 1..4)) {
+    fn snapshot_agrees_with_brute_force_under_churn(ops in churn_ops(), final_events in prop::collection::vec(arb_event(), 1..4)) {
         let mut idx = PredicateIndex::new();
         // Outstanding interning references, one entry per un-released intern.
-        let mut outstanding: Vec<pubsub_index::PredicateId> = Vec::new();
+        let mut outstanding: Vec<(PredicateId, Predicate)> = Vec::new();
         let mut matches_checked = 0usize;
         for op in ops {
             match op {
-                ChurnOp::Intern(p) => outstanding.push(idx.intern(p)),
+                ChurnOp::Intern(p) => outstanding.push((idx.intern(p), p)),
                 ChurnOp::Release(i) => {
                     if !outstanding.is_empty() {
-                        let id = outstanding.swap_remove(i.index(outstanding.len()));
+                        let (id, _) = outstanding.swap_remove(i.index(outstanding.len()));
                         idx.release(id);
                     }
                 }
                 ChurnOp::Match(event) => {
                     let mut got = idx.eval(&event);
-                    let mut want = idx.eval_btree(&event);
                     got.sort();
-                    want.sort();
-                    prop_assert_eq!(got, want, "event {:?}", event);
+                    prop_assert_eq!(got, brute_force(&outstanding, &event), "event {:?}", event);
                     matches_checked += 1;
                 }
                 ChurnOp::Flush => idx.rebuild_snapshots(),
@@ -208,10 +150,8 @@ proptest! {
         // checks something, whatever the op mix.
         for event in &final_events {
             let mut got = idx.eval(event);
-            let mut want = idx.eval_btree(event);
             got.sort();
-            want.sort();
-            prop_assert_eq!(got, want, "final event {:?}", event);
+            prop_assert_eq!(got, brute_force(&outstanding, event), "final event {:?}", event);
             matches_checked += 1;
         }
         prop_assert!(matches_checked > 0);
@@ -219,9 +159,11 @@ proptest! {
 }
 
 /// Flushes `pending` through the batched evaluator and compares every event
-/// against both the per-event snapshot path and the B+-tree reference.
+/// against both the per-event snapshot path and brute force over
+/// `outstanding`.
 fn check_batch(
     idx: &PredicateIndex,
+    outstanding: &[(PredicateId, Predicate)],
     batch: &mut Phase1Batch,
     pending: &mut Vec<Event>,
 ) -> Result<usize, TestCaseError> {
@@ -233,12 +175,15 @@ fn check_batch(
         idx.materialize(batch, i);
         let mut got: Vec<_> = batch.satisfied(i).to_vec();
         let mut scalar = idx.eval(event);
-        let mut btree = idx.eval_btree(event);
         got.sort();
         scalar.sort();
-        btree.sort();
         prop_assert_eq!(&got, &scalar, "batched vs scalar, event {:?}", event);
-        prop_assert_eq!(&got, &btree, "batched vs btree, event {:?}", event);
+        prop_assert_eq!(
+            &got,
+            &brute_force(outstanding, event),
+            "batched vs brute force, event {:?}",
+            event
+        );
         for &id in &got {
             prop_assert!(batch.bits(i).get(id.0), "bit {:?} unset", id);
         }
@@ -254,48 +199,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The batched evaluator must agree with both the per-event snapshot
-    /// path and the B+-tree reference over interleaved intern/release/match
+    /// path and brute force over interleaved intern/release/match
     /// churn, at several batch sizes (events are buffered and flushed as a
     /// batch before every mutation, so batches always see a consistent
     /// index — exactly the broker's usage pattern).
     #[test]
-    fn batched_agrees_with_scalar_and_btree_under_churn(
+    fn batched_agrees_with_scalar_and_brute_force_under_churn(
         ops in churn_ops(),
         batch_size in prop::sample::select(vec![1usize, 7, 64]),
         final_events in prop::collection::vec(arb_event(), 1..4),
     ) {
         let mut idx = PredicateIndex::new();
-        let mut outstanding: Vec<pubsub_index::PredicateId> = Vec::new();
+        let mut outstanding: Vec<(PredicateId, Predicate)> = Vec::new();
         let mut batch = Phase1Batch::new();
         let mut pending: Vec<Event> = Vec::new();
         let mut matches_checked = 0usize;
         for op in ops {
             match op {
                 ChurnOp::Intern(p) => {
-                    matches_checked += check_batch(&idx, &mut batch, &mut pending)?;
-                    outstanding.push(idx.intern(p));
+                    matches_checked += check_batch(&idx, &outstanding, &mut batch, &mut pending)?;
+                    outstanding.push((idx.intern(p), p));
                 }
                 ChurnOp::Release(i) => {
-                    matches_checked += check_batch(&idx, &mut batch, &mut pending)?;
+                    matches_checked += check_batch(&idx, &outstanding, &mut batch, &mut pending)?;
                     if !outstanding.is_empty() {
-                        let id = outstanding.swap_remove(i.index(outstanding.len()));
+                        let (id, _) = outstanding.swap_remove(i.index(outstanding.len()));
                         idx.release(id);
                     }
                 }
                 ChurnOp::Match(event) => {
                     pending.push(event);
                     if pending.len() >= batch_size {
-                        matches_checked += check_batch(&idx, &mut batch, &mut pending)?;
+                        matches_checked += check_batch(&idx, &outstanding, &mut batch, &mut pending)?;
                     }
                 }
                 ChurnOp::Flush => {
-                    matches_checked += check_batch(&idx, &mut batch, &mut pending)?;
+                    matches_checked += check_batch(&idx, &outstanding, &mut batch, &mut pending)?;
                     idx.rebuild_snapshots();
                 }
             }
         }
         pending.extend(final_events.iter().cloned());
-        matches_checked += check_batch(&idx, &mut batch, &mut pending)?;
+        matches_checked += check_batch(&idx, &outstanding, &mut batch, &mut pending)?;
         prop_assert!(matches_checked > 0);
         prop_assert!(
             batch.scratch_regrowths() <= 64,
@@ -313,16 +258,18 @@ proptest! {
         events in prop::collection::vec(arb_event(), 1..6),
     ) {
         let mut idx = PredicateIndex::new();
+        let mut outstanding = Vec::new();
         for (i, v) in constants.iter().enumerate() {
-            idx.intern(Predicate::new(AttrId((i % 3) as u32), Operator::Ne, *v));
+            let p = Predicate::new(AttrId((i % 3) as u32), Operator::Ne, *v);
+            outstanding.push((idx.intern(p), p));
         }
         let mut batch = Phase1Batch::new();
         let mut pending = events.clone();
-        check_batch(&idx, &mut batch, &mut pending)?;
+        check_batch(&idx, &outstanding, &mut batch, &mut pending)?;
         // And one event at a time (batch size 1).
         for e in &events {
             let mut single = vec![e.clone()];
-            check_batch(&idx, &mut batch, &mut single)?;
+            check_batch(&idx, &outstanding, &mut batch, &mut single)?;
         }
     }
 
@@ -335,10 +282,11 @@ proptest! {
         events in prop::collection::vec(arb_event(), 1..6),
     ) {
         let mut idx = PredicateIndex::new();
-        idx.intern(Predicate::new(AttrId(0), op, c));
+        let p = Predicate::new(AttrId(0), op, c);
+        let outstanding = [(idx.intern(p), p)];
         let mut batch = Phase1Batch::new();
         let mut pending = events;
-        check_batch(&idx, &mut batch, &mut pending)?;
+        check_batch(&idx, &outstanding, &mut batch, &mut pending)?;
     }
 }
 

@@ -22,7 +22,7 @@
 //!
 //! # Sessions
 //!
-//! A connection's first frame must be `Hello`. Token [`NEW_SESSION`]
+//! A connection's first frame must be `Hello`. Token [`crate::NEW_SESSION`]
 //! creates a session and returns a fresh token; a non-zero token resumes
 //! the session it names: the server re-attaches the session's live
 //! subscription ids to the new connection (reported once each, sorted, in

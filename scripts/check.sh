@@ -6,10 +6,12 @@
 #                         [--perf] [--bless]
 #
 # Lanes
-#   (default)      fmt + clippy + release build + tests with default features,
-#                  with --features metrics, and with --features simd and
-#                  simd,metrics (the explicit-SIMD phase-1 kernels with
-#                  runtime CPU detection — same tests, vectorized path).
+#   (default)      fmt + clippy + a rustdoc pass that denies broken and
+#                  private intra-doc links + release build + tests with
+#                  default features, with --features metrics, and with
+#                  --features simd and simd,metrics (the explicit-SIMD
+#                  phase-1 kernels with runtime CPU detection — same tests,
+#                  vectorized path).
 #   --bench-smoke  every Criterion bench target once in test mode (one
 #                  iteration, no measurement) so bench code can't bit-rot,
 #                  a second phase1_micro pass with the simd feature so the
@@ -40,8 +42,8 @@
 #                  kill-anywhere reconnect sweep) with default features and
 #                  again with --features faults,metrics so the chaos
 #                  scenarios actually inject, then a release netload smoke:
-#                  `pubsub serve` on loopback, one netload run with a
-#                  one-shot RPS floor, writing results/BENCH_net.json.
+#                  `pubsub serve` on loopback, one netload run gated by a
+#                  one-shot RPS floor (it writes no file).
 #   --replication  WAL-shipping lane: the leader/follower suites at every
 #                  layer (durability read_tail/snapshot transfer, broker
 #                  follower apply/promote, socket-level replication, session
@@ -135,6 +137,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy ${OFFLINE} --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny broken and private intra-doc links)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc ${OFFLINE} --no-deps --workspace \
+    --exclude proptest --exclude rand --exclude criterion --exclude parking_lot
+
 echo "==> cargo build --release"
 cargo build ${OFFLINE} --release --workspace
 
@@ -204,7 +211,7 @@ if [[ "$NET" == 1 ]]; then
         sleep 0.1
     done
     target/release/pubsub netload --addr "$NET_ADDR" --subscribers 2 --subs 4 \
-        --events 2000 --min-rps 1000 --json results/BENCH_net.json
+        --events 2000 --min-rps 1000
     kill "$SERVE_PID" 2>/dev/null || true
     wait "$SERVE_PID" 2>/dev/null || true
 fi

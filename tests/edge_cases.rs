@@ -182,7 +182,7 @@ fn empty_event() {
     }
 }
 
-/// Negative-domain range predicates work through the B+-tree path.
+/// Negative-domain range predicates work through the ordered snapshot index.
 #[test]
 fn negative_ranges() {
     for mut broker in all_engines() {

@@ -6,7 +6,7 @@
 //! registered as one engine subscription per conjunction, and notifications
 //! are de-duplicated back to the user-level subscription.
 
-use crate::broker::Broker;
+use crate::shared::SharedBroker;
 use crate::time::Validity;
 use pubsub_types::{Event, FxHashMap, Subscription, SubscriptionId, TypeError};
 
@@ -49,8 +49,8 @@ impl std::fmt::Display for DnfId {
 
 /// Maps engine-level subscription ids back to user-level DNF subscriptions.
 ///
-/// Layered on top of a [`Broker`] rather than inside it: conjunctive users
-/// pay nothing for the indirection.
+/// Layered on top of a [`SharedBroker`] rather than inside it: conjunctive
+/// users pay nothing for the indirection.
 #[derive(Debug, Default)]
 pub struct DnfRegistry {
     owner: FxHashMap<SubscriptionId, DnfId>,
@@ -75,9 +75,12 @@ impl DnfRegistry {
     }
 
     /// Registers each disjunct with the broker and records the mapping.
+    ///
+    /// # Panics
+    /// As [`SharedBroker::subscribe`]: if the broker is durable and degraded.
     pub fn subscribe(
         &mut self,
-        broker: &mut Broker,
+        broker: &SharedBroker,
         dnf: DnfSubscription,
         validity: Validity,
     ) -> DnfId {
@@ -95,7 +98,7 @@ impl DnfRegistry {
 
     /// Unregisters a DNF subscription and its disjuncts. Returns `false` if
     /// the id was unknown.
-    pub fn unsubscribe(&mut self, broker: &mut Broker, id: DnfId) -> bool {
+    pub fn unsubscribe(&mut self, broker: &SharedBroker, id: DnfId) -> bool {
         let Some(ids) = self.members.remove(&id) else {
             return false;
         };
@@ -131,7 +134,11 @@ impl DnfRegistry {
 
     /// Publishes an event and returns the de-duplicated DNF notifications
     /// plus the plain conjunctive ones.
-    pub fn publish(&self, broker: &mut Broker, event: &Event) -> (Vec<DnfId>, Vec<SubscriptionId>) {
+    pub fn publish(
+        &self,
+        broker: &SharedBroker,
+        event: &Event,
+    ) -> (Vec<DnfId>, Vec<SubscriptionId>) {
         let matched = broker.publish(event);
         let mut dnf = Vec::new();
         let mut plain = Vec::new();
@@ -177,51 +184,51 @@ mod tests {
 
     #[test]
     fn notifications_are_deduplicated() {
-        let mut broker = Broker::new(EngineKind::Dynamic);
+        let broker = SharedBroker::new(EngineKind::Dynamic, 1);
         let mut reg = DnfRegistry::new();
         // Overlapping disjuncts: value 5 satisfies both ranges.
         let dnf = DnfSubscription::new(vec![range_sub(0, 0, 5), range_sub(0, 5, 10)]).unwrap();
-        let id = reg.subscribe(&mut broker, dnf, Validity::forever());
+        let id = reg.subscribe(&broker, dnf, Validity::forever());
 
         let e = Event::builder().pair(AttrId(0), 5i64).build().unwrap();
-        let (dnf_hits, plain) = reg.publish(&mut broker, &e);
+        let (dnf_hits, plain) = reg.publish(&broker, &e);
         assert_eq!(dnf_hits, vec![id], "one notification despite two disjuncts");
         assert!(plain.is_empty());
 
         let e = Event::builder().pair(AttrId(0), 11i64).build().unwrap();
-        let (dnf_hits, _) = reg.publish(&mut broker, &e);
+        let (dnf_hits, _) = reg.publish(&broker, &e);
         assert!(dnf_hits.is_empty());
     }
 
     #[test]
     fn plain_and_dnf_subscribers_coexist() {
-        let mut broker = Broker::new(EngineKind::PropagationPrefetch);
+        let broker = SharedBroker::new(EngineKind::PropagationPrefetch, 1);
         let mut reg = DnfRegistry::new();
         let plain_id = broker.subscribe(sub(0, 7), Validity::forever());
         let dnf_id = reg.subscribe(
-            &mut broker,
+            &broker,
             DnfSubscription::new(vec![sub(0, 7), sub(0, 8)]).unwrap(),
             Validity::forever(),
         );
 
         let e = Event::builder().pair(AttrId(0), 7i64).build().unwrap();
-        let (dnf_hits, plain) = reg.publish(&mut broker, &e);
+        let (dnf_hits, plain) = reg.publish(&broker, &e);
         assert_eq!(dnf_hits, vec![dnf_id]);
         assert_eq!(plain, vec![plain_id]);
     }
 
     #[test]
     fn unsubscribe_removes_all_disjuncts() {
-        let mut broker = Broker::new(EngineKind::Counting);
+        let broker = SharedBroker::new(EngineKind::Counting, 1);
         let mut reg = DnfRegistry::new();
         let id = reg.subscribe(
-            &mut broker,
+            &broker,
             DnfSubscription::new(vec![sub(0, 1), sub(1, 1), sub(2, 1)]).unwrap(),
             Validity::forever(),
         );
         assert_eq!(broker.subscription_count(), 3);
-        assert!(reg.unsubscribe(&mut broker, id));
-        assert!(!reg.unsubscribe(&mut broker, id));
+        assert!(reg.unsubscribe(&broker, id));
+        assert!(!reg.unsubscribe(&broker, id));
         assert_eq!(broker.subscription_count(), 0);
         assert!(reg.is_empty());
     }

@@ -42,19 +42,13 @@ fn unknown_flag_and_missing_value_exit_2_with_one_stderr_line() {
             &["serve", "fastest"],
             "pubsub serve: unknown engine kind: fastest\n",
         ),
-        (
-            &["--shards", "x"],
-            "pubsub: `--shards` needs an integer shard count, got `x`\n",
-        ),
+        (&["--shards", "2"], "pubsub: unknown flag `--shards`\n"),
         (&["fastest"], "pubsub: unknown engine kind: fastest\n"),
         (
             &["--backpressure", "shed"],
             "pubsub: unknown flag `--backpressure`\n",
         ),
-        (
-            &["dynamic", "--shards", "3"],
-            "pubsub: `--shards` needs `--durable <dir>` (or use `pubsub serve`)\n",
-        ),
+        (&["--durable"], "pubsub: `--durable` needs a value\n"),
         (
             &["netload", "--bogus"],
             "pubsub netload: unknown flag `--bogus`\n",

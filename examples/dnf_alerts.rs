@@ -9,22 +9,23 @@
 //!
 //! Run with: `cargo run --example dnf_alerts`
 
-use fastpubsub::broker::{Broker, DnfRegistry, DnfSubscription, Validity};
+use fastpubsub::broker::{DnfRegistry, DnfSubscription, SharedBroker, Validity};
 use fastpubsub::core::EngineKind;
 use fastpubsub::lang::{parse_event, parse_subscription};
 
 fn main() {
-    let mut broker = Broker::new(EngineKind::Dynamic);
+    let broker = SharedBroker::new(EngineKind::Dynamic, 1);
     let mut registry = DnfRegistry::new();
 
     let expr = "(from = 'NYC' AND to = 'SFO' AND price < 400) OR \
                 (from = 'EWR' AND to = 'SFO' AND price < 350)";
-    let parsed = parse_subscription(expr, broker.vocabulary_mut())
+    let parsed = broker
+        .with_vocab(|vocab| parse_subscription(expr, vocab))
         .unwrap_or_else(|e| panic!("{}", e.render(expr)));
     println!("subscription: {expr}");
     println!("  -> {} disjuncts", parsed.disjuncts.len());
     let dnf = DnfSubscription::new(parsed.disjuncts).unwrap();
-    let id = registry.subscribe(&mut broker, dnf, Validity::forever());
+    let id = registry.subscribe(&broker, dnf, Validity::forever());
 
     let offers = [
         ("{from: 'NYC', to: 'SFO', price: 380}", true),
@@ -34,8 +35,8 @@ fn main() {
         ("{from: 'NYC', to: 'LAX', price: 200}", false),
     ];
     for (text, expect) in offers {
-        let event = parse_event(text, broker.vocabulary_mut()).unwrap();
-        let (dnf_hits, _) = registry.publish(&mut broker, &event);
+        let event = broker.with_vocab(|vocab| parse_event(text, vocab)).unwrap();
+        let (dnf_hits, _) = registry.publish(&broker, &event);
         let notified = dnf_hits.contains(&id);
         println!(
             "offer {text} -> {}",

@@ -7,7 +7,9 @@
 #
 # Lanes
 #   (default)      fmt + clippy + a rustdoc pass that denies broken and
-#                  private intra-doc links + release build + tests with
+#                  private intra-doc links + release build + each
+#                  examples/*.rs run once in release (most assert their
+#                  results) + tests with
 #                  default features, with --features metrics, and with
 #                  --features simd and simd,metrics (the explicit-SIMD
 #                  phase-1 kernels with runtime CPU detection — same tests,
@@ -144,6 +146,12 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 
 echo "==> cargo build --release"
 cargo build ${OFFLINE} --release --workspace
+
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "==> example ${name} (release)"
+    cargo run ${OFFLINE} --release --quiet --example "$name" > /dev/null
+done
 
 echo "==> cargo test (default features: metrics off)"
 cargo test ${OFFLINE} --workspace

@@ -3,15 +3,24 @@
 //! Figure 3(c) reports the memory-resident size of the system per engine and
 //! subscription count. We measure the same quantity — live heap bytes —
 //! directly at the allocator, which is immune to OS accounting noise
-//! (DESIGN.md §4).
+//! (DESIGN.md §4). It also counts allocation calls per thread, so a test
+//! can hold a code path to an allocation budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Live heap bytes allocated through [`CountingAllocator`].
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// High-water mark of live bytes.
 static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) made by this
+    /// thread. Const-initialised and without a destructor, so the allocator
+    /// can bump it on any thread at any point without allocating itself.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A `#[global_allocator]` wrapper around the system allocator that tracks
 /// live and peak heap bytes.
@@ -40,11 +49,19 @@ impl CountingAllocator {
     pub fn reset_peak() {
         PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
     }
+
+    /// Allocation calls the calling thread has made so far (`alloc`,
+    /// `alloc_zeroed` and `realloc` each count one). Take the difference
+    /// around a code path to count what it allocates.
+    pub fn thread_allocations() -> u64 {
+        THREAD_ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
+    }
 }
 
 fn add(n: usize) {
     let live = LIVE_BYTES.fetch_add(n, Ordering::Relaxed) + n;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
 }
 
 fn sub(n: usize) {
@@ -104,6 +121,20 @@ mod tests {
         assert!(CountingAllocator::peak_bytes() >= before + 1000);
         sub(1000);
         assert_eq!(CountingAllocator::live_bytes(), before);
+    }
+
+    #[test]
+    fn each_bookkept_allocation_counts_once_on_its_thread() {
+        let _guard = COUNTERS_LOCK.lock().unwrap();
+        let before = CountingAllocator::thread_allocations();
+        add(8);
+        add(16);
+        sub(24);
+        assert_eq!(CountingAllocator::thread_allocations(), before + 2);
+        let other = std::thread::spawn(CountingAllocator::thread_allocations)
+            .join()
+            .unwrap();
+        assert_eq!(other, 0, "another thread's count starts at zero");
     }
 
     #[test]

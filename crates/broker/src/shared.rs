@@ -835,7 +835,13 @@ impl SharedBroker {
     /// Resolves an attribute name without interning — the publish-side
     /// lookup a replication follower must use: a name the leader never
     /// interned cannot appear in any subscription, so an event pair naming
-    /// it can simply be dropped (it can match nothing).
+    /// it can simply be dropped (it can match nothing). On a follower every
+    /// publish and subscribe path resolves this way, never through
+    /// [`SharedBroker::with_vocab`], whose follower check can only fire
+    /// after its closure has already interned: the network server drops
+    /// such pairs (still refusing an event that names one twice), gives an
+    /// unknown string the symbol the next intern would take, and refuses
+    /// a subscribe before interning anything.
     pub fn lookup_attr(&self, name: &str) -> Option<AttrId> {
         self.inner.vocab.lock().attrs.get(name)
     }

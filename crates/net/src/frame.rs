@@ -24,9 +24,19 @@
 //! more bytes, or reports a typed [`FrameError`] — never a panic and never
 //! an unbounded allocation. The adversarial suite in
 //! `crates/net/tests/protocol.rs` holds the decoder to that contract.
+//!
+//! Events have one parser, [`WireEventRef`]: it walks an encoded event in
+//! place, handing out names and string values as `&str`s into the payload.
+//! The owned [`Frame::decode`] is that walk plus a copy. The server never
+//! makes the copy: it reads a `Publish` as a [`PublishRef`] (request id plus
+//! borrowed event body), resolves the names against its vocabulary straight
+//! from the payload, and forwards the body verbatim in each notify through
+//! [`write_notify`]. The event is the last field of both frames, so the
+//! notify carries exactly the bytes the publisher sent.
 
 use pubsub_types::codec::{self, Reader};
 use pubsub_types::{CodecError, Operator};
+use std::ops::Range;
 
 /// Protocol version carried in [`Frame::Hello`]. Bumped on any
 /// wire-incompatible change; the server rejects other versions.
@@ -40,6 +50,10 @@ pub const MAX_FRAME_BYTES: u32 = 1024 * 1024;
 
 /// Bytes of framing overhead per frame (`len` + `crc`).
 pub const FRAME_HEADER_BYTES: usize = 8;
+
+/// Initial capacity of [`Frame::to_bytes`]: the largest ack, `Ping` or
+/// `Pong` record is 18 bytes.
+const SMALL_FRAME_BYTES: usize = 32;
 
 /// Token value a [`Frame::Hello`] carries to request a brand-new session.
 pub const NEW_SESSION: u64 = 0;
@@ -383,10 +397,30 @@ fn put_wire_value(out: &mut Vec<u8>, v: &WireValue) {
     }
 }
 
-fn get_wire_value(r: &mut Reader<'_>) -> Result<WireValue, CodecError> {
+/// A value borrowed from a received payload: an integer, or a string
+/// value as a `&str` into the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireValueRef<'a> {
+    /// A 64-bit signed integer.
+    Int(i64),
+    /// A string value, carried uninterned.
+    Str(&'a str),
+}
+
+impl WireValueRef<'_> {
+    /// This value with its string copied out of the payload.
+    pub fn to_owned_value(self) -> WireValue {
+        match self {
+            WireValueRef::Int(i) => WireValue::Int(i),
+            WireValueRef::Str(s) => WireValue::Str(s.to_owned()),
+        }
+    }
+}
+
+fn get_wire_value<'a>(r: &mut Reader<'a>) -> Result<WireValueRef<'a>, CodecError> {
     match r.u8()? {
-        VALUE_INT => Ok(WireValue::Int(r.i64()?)),
-        VALUE_STR => Ok(WireValue::Str(r.str()?.to_string())),
+        VALUE_INT => Ok(WireValueRef::Int(r.i64()?)),
+        VALUE_STR => Ok(WireValueRef::Str(r.str()?)),
         tag => Err(CodecError::BadTag {
             what: "wire value",
             tag,
@@ -415,16 +449,129 @@ fn put_wire_event(out: &mut Vec<u8>, event: &WireEvent) {
     }
 }
 
-fn get_wire_event(r: &mut Reader<'_>) -> Result<WireEvent, CodecError> {
-    let count = r.u32()?;
-    let n = checked_count(r, count)?;
-    let mut pairs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let attr = r.str()?.to_string();
-        let value = get_wire_value(r)?;
-        pairs.push((attr, value));
+/// The error for bytes left over after a frame's last field.
+fn trailing_bytes() -> CodecError {
+    CodecError::BadTag {
+        what: "frame trailing bytes",
+        tag: 0,
     }
-    Ok(WireEvent { pairs })
+}
+
+/// An encoded event borrowed from a received payload and read in place,
+/// pair by pair: names and string values come out as `&str`s into the
+/// payload, and nothing is allocated. This is the one event parser — the
+/// owned decode is this walk plus [`WireEventRef::into_owned`]. Every pair
+/// is validated as it is read (tags, lengths, UTF-8), and the walk fails
+/// if bytes trail the last pair, since the event is always the last field
+/// of its frame.
+#[derive(Debug)]
+pub struct WireEventRef<'a> {
+    r: Reader<'a>,
+    left: usize,
+}
+
+impl<'a> WireEventRef<'a> {
+    /// Starts reading `body`, an encoded event that runs to the end of its
+    /// payload. Rejects a pair count the body's bytes cannot hold, before
+    /// anything is sized by it.
+    pub fn new(body: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(body);
+        let count = r.u32()?;
+        let left = checked_count(&r, count)?;
+        Ok(Self { r, left })
+    }
+
+    /// Pairs not yet read.
+    pub fn pairs_left(&self) -> usize {
+        self.left
+    }
+
+    /// The next `(attribute name, value)` pair, or `None` once the last
+    /// one has been read and the body is checked to end there.
+    pub fn next_pair(&mut self) -> Result<Option<(&'a str, WireValueRef<'a>)>, CodecError> {
+        if self.left == 0 {
+            return if self.r.is_empty() {
+                Ok(None)
+            } else {
+                Err(trailing_bytes())
+            };
+        }
+        self.left -= 1;
+        let name = self.r.str()?;
+        let value = get_wire_value(&mut self.r)?;
+        Ok(Some((name, value)))
+    }
+
+    /// Reads the remaining pairs into an owned [`WireEvent`].
+    pub fn into_owned(mut self) -> Result<WireEvent, CodecError> {
+        let mut pairs = Vec::with_capacity(self.left);
+        while let Some((name, value)) = self.next_pair()? {
+            pairs.push((name.to_owned(), value.to_owned_value()));
+        }
+        Ok(WireEvent { pairs })
+    }
+}
+
+/// A `Publish` payload, borrowed: the request id and the encoded event
+/// behind it, not yet walked ([`WireEventRef::new`] walks it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PublishRef<'a> {
+    /// Client-chosen request id.
+    pub req: u32,
+    /// The encoded event: the payload after its tag and request id.
+    pub body: &'a [u8],
+}
+
+impl<'a> PublishRef<'a> {
+    /// Reads the head of `payload` if it is a `Publish` (`Ok(None)` for any
+    /// other frame); the body is borrowed, not decoded.
+    pub fn parse(payload: &'a [u8]) -> Result<Option<Self>, CodecError> {
+        let mut r = Reader::new(payload);
+        if r.u8()? != TAG_PUBLISH {
+            return Ok(None);
+        }
+        let req = r.u32()?;
+        Ok(Some(PublishRef {
+            req,
+            body: r.rest(),
+        }))
+    }
+}
+
+/// Writes the head of a `Notify` payload — tag, `seq`, id count and ids —
+/// which the encoded event follows.
+fn put_notify_head(out: &mut Vec<u8>, seq: u64, ids: &[u32]) {
+    out.push(TAG_NOTIFY);
+    codec::put_u64(out, seq);
+    codec::put_u32(out, ids.len() as u32);
+    for id in ids {
+        codec::put_u32(out, *id);
+    }
+}
+
+/// Appends one wire record to `out`: the length and CRC header, then the
+/// payload `encode` writes. The CRC is one pass over the finished payload.
+fn framed(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]);
+    encode(out);
+    let payload_len = (out.len() - header - FRAME_HEADER_BYTES) as u32;
+    let crc = codec::crc32c(&out[header + FRAME_HEADER_BYTES..]);
+    out[header..header + 4].copy_from_slice(&payload_len.to_le_bytes());
+    out[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Appends a complete `Notify` wire record whose event is `body`, already
+/// encoded — the body of a received [`PublishRef`], forwarded verbatim.
+/// The bytes equal `Frame::Notify { seq, ids, event }.write_to(out)` for
+/// the event `body` encodes; `out` grows at most once.
+pub fn write_notify(out: &mut Vec<u8>, seq: u64, ids: &[u32], body: &[u8]) {
+    // Tag, seq and id count, then the ids.
+    out.reserve(FRAME_HEADER_BYTES + 1 + 8 + 4 + 4 * ids.len() + body.len());
+    framed(out, |out| {
+        put_notify_head(out, seq, ids);
+        out.extend_from_slice(body);
+    });
 }
 
 impl Frame {
@@ -457,12 +604,7 @@ impl Frame {
                 put_wire_event(out, event);
             }
             Frame::Notify { seq, ids, event } => {
-                out.push(TAG_NOTIFY);
-                codec::put_u64(out, *seq);
-                codec::put_u32(out, ids.len() as u32);
-                for id in ids {
-                    codec::put_u32(out, *id);
-                }
+                put_notify_head(out, *seq, ids);
                 put_wire_event(out, event);
             }
             Frame::Ack(ack) => {
@@ -563,7 +705,7 @@ impl Frame {
                 for _ in 0..n {
                     let attr = r.str()?.to_string();
                     let op = codec::get_operator(&mut r)?;
-                    let value = get_wire_value(&mut r)?;
+                    let value = get_wire_value(&mut r)?.to_owned_value();
                     preds.push(WirePredicate { attr, op, value });
                 }
                 Frame::Subscribe { req, preds }
@@ -574,7 +716,7 @@ impl Frame {
             },
             TAG_PUBLISH => Frame::Publish {
                 req: r.u32()?,
-                event: get_wire_event(&mut r)?,
+                event: WireEventRef::new(r.rest())?.into_owned()?,
             },
             TAG_NOTIFY => {
                 let seq = r.u64()?;
@@ -587,7 +729,7 @@ impl Frame {
                 Frame::Notify {
                     seq,
                     ids,
-                    event: get_wire_event(&mut r)?,
+                    event: WireEventRef::new(r.rest())?.into_owned()?,
                 }
             }
             TAG_ACK => {
@@ -667,10 +809,7 @@ impl Frame {
             tag => return Err(CodecError::BadTag { what: "frame", tag }),
         };
         if !r.is_empty() {
-            return Err(CodecError::BadTag {
-                what: "frame trailing bytes",
-                tag: 0,
-            });
+            return Err(trailing_bytes());
         }
         Ok(frame)
     }
@@ -678,18 +817,13 @@ impl Frame {
     /// Appends this frame as a complete wire record (`len`, `crc`, payload)
     /// to `out`, reusing its capacity.
     pub fn write_to(&self, out: &mut Vec<u8>) {
-        let header = out.len();
-        out.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]);
-        self.encode(out);
-        let payload_len = (out.len() - header - FRAME_HEADER_BYTES) as u32;
-        let crc = codec::crc32c(&out[header + FRAME_HEADER_BYTES..]);
-        out[header..header + 4].copy_from_slice(&payload_len.to_le_bytes());
-        out[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
+        framed(out, |out| self.encode(out));
     }
 
-    /// This frame as a standalone wire record.
+    /// This frame as a standalone wire record. The first allocation holds
+    /// any ack, ping or pong whole.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(SMALL_FRAME_BYTES);
         self.write_to(&mut out);
         out
     }
@@ -728,8 +862,16 @@ impl FrameReader {
         }
     }
 
-    /// Appends received bytes to the buffer.
+    /// Appends received bytes to the buffer. Payload spans handed out by
+    /// [`FrameReader::next_payload`] are invalid afterwards: the consumed
+    /// prefix is compacted away here once it outgrows the live suffix,
+    /// keeping amortised O(1) copying while never holding more than ~2×
+    /// the live bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
+        if self.start > self.buf.len() - self.start {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -738,11 +880,13 @@ impl FrameReader {
         self.buf.len() - self.start
     }
 
-    /// Decodes the next complete frame, if the buffer holds one.
+    /// Consumes the next complete frame, if the buffer holds one, and
+    /// returns the span of its checksum-verified payload, for
+    /// [`FrameReader::payload`]. Nothing is decoded.
     ///
     /// Returns `Ok(None)` when more bytes are needed. Errors are terminal:
     /// the byte stream no longer has a trustworthy frame boundary.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+    pub fn next_payload(&mut self) -> Result<Option<Range<usize>>, FrameError> {
         let live = &self.buf[self.start..];
         if live.len() < FRAME_HEADER_BYTES {
             return Ok(None);
@@ -756,20 +900,32 @@ impl FrameReader {
             return Ok(None);
         }
         let expected = u32::from_le_bytes(live[4..8].try_into().expect("4 bytes"));
-        let payload = &live[FRAME_HEADER_BYTES..total];
-        let actual = codec::crc32c(payload);
+        let actual = codec::crc32c(&live[FRAME_HEADER_BYTES..total]);
         if actual != expected {
             return Err(FrameError::BadCrc { expected, actual });
         }
-        let frame = Frame::decode(payload)?;
+        let span = self.start + FRAME_HEADER_BYTES..self.start + total;
         self.start += total;
-        // Compact once the dead prefix dominates, keeping amortised O(1)
-        // copying while never holding more than ~2× the live bytes.
-        if self.start > self.buf.len() - self.start {
-            self.buf.drain(..self.start);
-            self.start = 0;
+        Ok(Some(span))
+    }
+
+    /// The bytes of a span [`FrameReader::next_payload`] returned since the
+    /// last [`FrameReader::extend`].
+    pub fn payload(&self, span: Range<usize>) -> &[u8] {
+        &self.buf[span]
+    }
+
+    /// Decodes the next complete frame, if the buffer holds one: the
+    /// verified payload of [`FrameReader::next_payload`], then
+    /// [`Frame::decode`].
+    ///
+    /// Returns `Ok(None)` when more bytes are needed. Errors are terminal:
+    /// the byte stream no longer has a trustworthy frame boundary.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        match self.next_payload()? {
+            Some(span) => Ok(Some(Frame::decode(self.payload(span))?)),
+            None => Ok(None),
         }
-        Ok(Some(frame))
     }
 }
 

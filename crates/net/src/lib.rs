@@ -41,10 +41,16 @@ pub mod server;
 
 pub use client::{Client, ClientError, Notification, ReconnectPolicy};
 pub use frame::{
-    Ack, ErrorCode, Frame, FrameError, FrameReader, WireEvent, WirePredicate, WireValue,
-    MAX_FRAME_BYTES, NEW_SESSION, PROTOCOL_VERSION,
+    Ack, ErrorCode, Frame, FrameError, FrameReader, PublishRef, WireEvent, WireEventRef,
+    WirePredicate, WireValue, WireValueRef, MAX_FRAME_BYTES, NEW_SESSION, PROTOCOL_VERSION,
 };
 pub use load::{LoadConfig, LoadReport};
 pub use queue::{Backpressure, OutQueue, PushError};
 pub use replication::{Follower, FollowerConfig, ReplStatus};
 pub use server::{Server, ServerConfig, ServerStatus};
+
+// Unit tests count the heap allocations each thread makes, to hold the
+// publish path to its budget (`server::tests`).
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: pubsub_bench::CountingAllocator = pubsub_bench::CountingAllocator;

@@ -8,8 +8,11 @@
 //! [`OutQueue`] of encoded frames.
 //!
 //! The reader handles every complete frame one `read` returned as one
-//! batch. Consecutive publishes are interned under one vocabulary hold and
-//! matched by one [`pubsub_broker::SharedBroker::publish_batch_into`] call,
+//! batch. A publish is parsed in place: the batch keeps its request id and
+//! the span of its event body in the reader's buffer, and nothing is copied
+//! out. Consecutive publishes have their bodies walked and their names
+//! resolved under one vocabulary hold, and are matched by one
+//! [`pubsub_broker::SharedBroker::publish_batch_into`] call,
 //! which rides the broker's lock-free RCU path (one snapshot pin per
 //! batch), so matching never blocks accepts or other connections. Fan-out
 //! takes the registry lock once per batch and makes one push per target
@@ -33,6 +36,9 @@
 //!
 //! # Delivery and backpressure
 //!
+//! A notify carries the publish's event body verbatim, behind its own
+//! `seq` and ids ([`crate::frame::write_notify`]): the server never
+//! re-encodes an event, and the bytes equal an encoded `Frame::Notify`.
 //! Notifications are sequenced per session (`seq` starts at 1 and
 //! increments per notify) and enqueued under the session's delivery lock,
 //! so one subscriber always observes its notifications in publish order;
@@ -77,7 +83,10 @@
 //! leader-side append position) whenever it is caught up. See DESIGN.md
 //! §14 for the full replication state machine.
 
-use crate::frame::{Ack, ErrorCode, Frame, FrameReader, WireEvent, WirePredicate, WireValue};
+use crate::frame::{
+    self, Ack, ErrorCode, Frame, FrameError, FrameReader, PublishRef, WireEventRef, WirePredicate,
+    WireValue, WireValueRef,
+};
 use crate::queue::{Backpressure, OutQueue};
 use parking_lot::Mutex;
 use pubsub_broker::{BrokerError, SharedBroker, Validity};
@@ -85,11 +94,13 @@ use pubsub_durability::{replication, TailChunk};
 use pubsub_types::faults::{self, points, FaultAction};
 use pubsub_types::metrics::Counter;
 use pubsub_types::{
-    AttrId, Event, FxHashMap, Predicate, Subscription, SubscriptionId, TypeError, Value, Vocabulary,
+    AttrId, CodecError, Event, FxHashMap, Predicate, Subscription, SubscriptionId, Symbol,
+    TypeError, Value, Vocabulary,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -740,9 +751,10 @@ struct ConnCtx<'a> {
     conn_id: u64,
     /// Set once the handshake completes: session token + delivery handle.
     session: Option<(u64, Arc<Delivery>)>,
-    /// The batch's `Publish` frames not yet answered: (req, event), in
-    /// request order.
-    publishes: Vec<(u32, WireEvent)>,
+    /// The batch's `Publish` frames not yet answered, in request order:
+    /// each one's request id and the span of its event body in the
+    /// reader's buffer (valid until the next read extends it).
+    publishes: Vec<(u32, Range<usize>)>,
     /// The batch's match sets, one per valid publish (reused).
     matched: Vec<Vec<SubscriptionId>>,
 }
@@ -812,40 +824,45 @@ impl ConnCtx<'_> {
     }
 
     /// Handles every complete frame `reader` holds as one batch, and never
-    /// waits for more bytes. Publishes gather in [`ConnCtx::publishes`];
-    /// any other frame — and the end of the buffered bytes — answers them
-    /// first, so every reply keeps its request's position.
+    /// waits for more bytes. A handshaken connection's publishes join
+    /// [`ConnCtx::publishes`] undecoded; any other frame — and the end of
+    /// the buffered bytes — answers them first, so every reply keeps its
+    /// request's position.
     fn handle_batch(&mut self, reader: &mut FrameReader) -> Option<Exit> {
         loop {
-            let frame = match reader.next_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => return self.flush_publishes(),
-                Err(e) => {
-                    // Framing is lost: answer the frames before it, report
-                    // once and close. The graceful exit flushes this error
-                    // to the peer.
-                    if let Some(exit) = self.flush_publishes() {
-                        return Some(exit);
-                    }
-                    BAD_FRAMES.inc();
-                    self.send_error(0, ErrorCode::BadFrame, e.to_string());
-                    return Some(Exit::Graceful);
-                }
+            let span = match reader.next_payload() {
+                Ok(Some(span)) => span,
+                Ok(None) => return self.flush_publishes(reader),
+                Err(e) => return self.bad_frame(reader, e),
             };
             FRAMES_IN.inc();
             match faults::hit(points::NET_FRAME_READ, self.conn_id as usize) {
                 Some(FaultAction::Delay(ms)) => thread::sleep(Duration::from_millis(ms)),
                 Some(_) => {
                     // Kill mid-stream, after the frames before this one.
-                    let _ = self.flush_publishes();
+                    let _ = self.flush_publishes(reader);
                     return Some(Exit::Severed);
                 }
                 None => {}
             }
-            if !matches!(frame, Frame::Publish { .. }) {
-                if let Some(exit) = self.flush_publishes() {
-                    return Some(exit);
+            let payload = reader.payload(span.clone());
+            if self.session.is_some() {
+                match PublishRef::parse(payload) {
+                    Ok(Some(publish)) => {
+                        let body = span.end - publish.body.len()..span.end;
+                        self.publishes.push((publish.req, body));
+                        continue;
+                    }
+                    Ok(None) => {}
+                    Err(e) => return self.bad_frame(reader, e.into()),
                 }
+            }
+            let frame = match Frame::decode(payload) {
+                Ok(frame) => frame,
+                Err(e) => return self.bad_frame(reader, e.into()),
+            };
+            if let Some(exit) = self.flush_publishes(reader) {
+                return Some(exit);
             }
             if let Some(exit) = self.handle(frame) {
                 return Some(exit);
@@ -853,8 +870,21 @@ impl ConnCtx<'_> {
         }
     }
 
-    /// Processes one frame (a handshaken connection's `Publish` only joins
-    /// the batch). `Some(exit)` ends the connection.
+    /// Framing or decoding failed: answers the frames before the bad one,
+    /// reports it once and closes. The graceful exit flushes this error to
+    /// the peer.
+    fn bad_frame(&mut self, reader: &FrameReader, e: FrameError) -> Option<Exit> {
+        if let Some(exit) = self.flush_publishes(reader) {
+            return Some(exit);
+        }
+        BAD_FRAMES.inc();
+        self.send_error(0, ErrorCode::BadFrame, e.to_string());
+        Some(Exit::Graceful)
+    }
+
+    /// Processes one frame (a handshaken connection's `Publish` never gets
+    /// here: [`ConnCtx::handle_batch`] gathers it). `Some(exit)` ends the
+    /// connection.
     fn handle(&mut self, frame: Frame) -> Option<Exit> {
         // Pings are answered at any point — even before the handshake —
         // so a client can probe liveness without committing to a session.
@@ -889,9 +919,8 @@ impl ConnCtx<'_> {
             }
             Frame::Subscribe { req, preds } => self.handle_subscribe(req, &preds),
             Frame::Unsubscribe { req, id } => self.handle_unsubscribe(req, id),
-            Frame::Publish { req, event } => {
-                self.publishes.push((req, event));
-                None
+            Frame::Publish { .. } => {
+                unreachable!("handle_batch gathers a handshaken connection's publishes")
             }
             Frame::Notify { .. } | Frame::Ack(_) | Frame::Error { .. } | Frame::Pong { .. } => {
                 self.send_error(0, ErrorCode::BadRequest, "server-only frame");
@@ -1153,6 +1182,13 @@ impl ConnCtx<'_> {
     fn handle_subscribe(&mut self, req: u32, preds: &[WirePredicate]) -> Option<Exit> {
         let (token, _) = self.session.as_ref().expect("handshaken");
         let token = *token;
+        // A follower refuses before interning anything: a name interned
+        // here would fork its vocabulary from the leader's.
+        if self.state.broker.is_follower() {
+            let e = BrokerError::Follower;
+            self.send_error(req, broker_error_code(&e), e.to_string());
+            return None;
+        }
         let sub = match wire_subscription(&self.state.broker, preds) {
             Ok(sub) => sub,
             Err(e) => {
@@ -1237,76 +1273,235 @@ impl ConnCtx<'_> {
         None
     }
 
-    /// Answers the gathered publishes as one batch: every event is
-    /// interned under one vocabulary hold, the valid ones are matched by one
-    /// `publish_batch_into` call and fanned out together, and the acks —
-    /// with an `Error` in place of each event that failed validation — go
-    /// to this connection's queue in one push, in request order.
-    fn flush_publishes(&mut self) -> Option<Exit> {
+    /// Answers the gathered publishes as one batch: every body is walked
+    /// and resolved under one vocabulary hold, the valid events are matched
+    /// by one `publish_batch_into` call and fanned out together, and the
+    /// acks — with an `Error` in place of each event that failed
+    /// validation — go to this connection's queue in one push, in request
+    /// order. A body that does not decode ends the batch there: the
+    /// publishes before it are answered, then it is reported as a bad
+    /// frame and the connection closes, as if the reader had stopped at it.
+    fn flush_publishes(&mut self, reader: &FrameReader) -> Option<Exit> {
         if self.publishes.is_empty() {
             return None;
         }
         PUBLISH_BATCHES.inc();
         let broker = &self.state.broker;
-        let pairs = broker.with_vocab(|vocab| {
-            self.publishes
-                .iter()
-                .map(|(_, wire)| intern_pairs(vocab, wire))
-                .collect::<Vec<_>>()
-        });
-        let mut events = Vec::with_capacity(pairs.len());
-        let mut wires = Vec::with_capacity(pairs.len());
+        let bodies: Vec<&[u8]> = self
+            .publishes
+            .iter()
+            .map(|(_, span)| reader.payload(span.clone()))
+            .collect();
+        let (resolved, bad) = resolve_batch(broker, &bodies);
+        let mut events = Vec::with_capacity(resolved.len());
+        let mut sent = Vec::with_capacity(resolved.len());
         // Per publish: its index in `events`, or why it was refused.
-        let outcomes: Vec<Result<usize, TypeError>> = pairs
+        let outcomes: Vec<Result<usize, TypeError>> = resolved
             .into_iter()
-            .zip(&self.publishes)
-            .map(|(pairs, (_, wire))| {
-                let event = Event::from_pairs(pairs)?;
-                events.push(event);
-                wires.push(wire);
+            .zip(&bodies)
+            .map(|(pairs, body)| {
+                events.push(Event::from_pairs(pairs?)?);
+                sent.push(*body);
                 Ok(events.len() - 1)
             })
             .collect();
         let matched = &mut self.matched;
         broker.publish_batch_into(&events, matched);
-        deliver(self.state, matched, &wires);
+        deliver(self.state, matched, &sent);
         let mut replies: Vec<Out> = self
             .publishes
             .iter()
             .zip(outcomes)
-            .map(|((req, _), outcome)| {
-                let frame = match outcome {
-                    Ok(k) => Frame::Ack(Ack::Publish {
-                        req: *req,
-                        matched: matched[k].len() as u32,
-                    }),
-                    Err(e) => Frame::Error {
-                        req: *req,
-                        code: ErrorCode::BadRequest,
-                        msg: e.to_string(),
-                    },
-                };
-                Out::Frame(frame.to_bytes())
-            })
+            .map(|((req, _), outcome)| Out::Frame(publish_reply(*req, outcome, matched).to_bytes()))
             .collect();
         self.publishes.clear();
         if self.queue.push_all_blocking(&mut replies).is_err() {
             return Some(Exit::Severed);
         }
-        None
+        // The batch is empty now, so this only reports the bad body.
+        bad.and_then(|e| self.bad_frame(reader, e.into()))
     }
 }
 
-/// One session's notifies in a batch, in event order: each event it
-/// matched (an index into the batch) with its ids there, sorted.
-type Notifies = Vec<(usize, Vec<u32>)>;
+/// The answer to publish `req`: its ack with the match count, or the
+/// validation error that refused it.
+fn publish_reply(
+    req: u32,
+    outcome: Result<usize, TypeError>,
+    matched: &[Vec<SubscriptionId>],
+) -> Frame {
+    match outcome {
+        Ok(k) => Frame::Ack(Ack::Publish {
+            req,
+            matched: matched[k].len() as u32,
+        }),
+        Err(e) => Frame::Error {
+            req,
+            code: ErrorCode::BadRequest,
+            msg: e.to_string(),
+        },
+    }
+}
 
-/// Fans one batch's match sets (`matched[k]` for the event `wires[k]`) out
-/// to the sessions owning the matched subscriptions. One registry hold
-/// groups the whole batch by session; then each session gets one delivery
-/// lock hold and one queue push carrying its notifies in event order, with
-/// the delivery policy applied to each notify.
-fn deliver(state: &State, matched: &[Vec<SubscriptionId>], wires: &[&WireEvent]) {
+/// One publish's interned pairs, or why its event is refused.
+type Resolved = Result<Vec<(AttrId, Value)>, TypeError>;
+
+/// Walks and resolves a batch's event bodies under one vocabulary hold, in
+/// order, stopping at the first body that does not decode (returned
+/// beside the ones before it). A leader interns the names it has not seen;
+/// a follower must not intern — that would fork its vocabulary from the
+/// leader's — so it resolves by lookup alone ([`drop_unknown_attrs`]).
+fn resolve_batch(broker: &SharedBroker, bodies: &[&[u8]]) -> (Vec<Resolved>, Option<CodecError>) {
+    let mut resolved = Vec::with_capacity(bodies.len());
+    let mut fresh = Vec::new();
+    let bad = if broker.is_follower() {
+        broker.read_vocab(|vocab| {
+            for body in bodies {
+                let pairs = match resolve_event(vocab, body, &mut fresh) {
+                    Ok(pairs) => pairs,
+                    Err(e) => return Some(e),
+                };
+                resolved.push(drop_unknown_attrs(vocab, pairs, &fresh));
+                fresh.clear();
+            }
+            None
+        })
+    } else {
+        broker.with_vocab(|vocab| {
+            for body in bodies {
+                let mut pairs = match resolve_event(vocab, body, &mut fresh) {
+                    Ok(pairs) => pairs,
+                    Err(e) => return Some(e),
+                };
+                intern_fresh(vocab, &mut pairs, &mut fresh);
+                resolved.push(Ok(pairs));
+            }
+            None
+        })
+    };
+    (resolved, bad)
+}
+
+/// Stands in for an attribute the vocabulary does not hold, until the name
+/// is interned (leader) or its pair dropped (follower).
+const UNKNOWN_ATTR: AttrId = AttrId(u32::MAX);
+
+/// A name the vocabulary does not hold, met while resolving an event: the
+/// pair it sits in, and whether it is that pair's string value rather than
+/// its attribute.
+struct Fresh<'a> {
+    pair: usize,
+    name: &'a str,
+    value: bool,
+}
+
+/// Walks an encoded event and resolves its pairs against `vocab` without
+/// changing it. A name `vocab` does not hold resolves to a stand-in —
+/// [`UNKNOWN_ATTR`], or the symbol the next string intern would get, which
+/// compares like one — and is listed in `fresh`, in encoding order.
+fn resolve_event<'a>(
+    vocab: &Vocabulary,
+    body: &'a [u8],
+    fresh: &mut Vec<Fresh<'a>>,
+) -> Result<Vec<(AttrId, Value)>, CodecError> {
+    let mut event = WireEventRef::new(body)?;
+    let next_symbol = Value::Str(Symbol(vocab.strings.len() as u32));
+    let mut pairs = Vec::with_capacity(event.pairs_left());
+    while let Some((name, value)) = event.next_pair()? {
+        let pair = pairs.len();
+        let attr = vocab.attrs.get(name).unwrap_or_else(|| {
+            fresh.push(Fresh {
+                pair,
+                name,
+                value: false,
+            });
+            UNKNOWN_ATTR
+        });
+        let value = match value {
+            WireValueRef::Int(i) => Value::Int(i),
+            WireValueRef::Str(s) => vocab.strings.get(s).map_or_else(
+                || {
+                    fresh.push(Fresh {
+                        pair,
+                        name: s,
+                        value: true,
+                    });
+                    next_symbol
+                },
+                Value::Str,
+            ),
+        };
+        pairs.push((attr, value));
+    }
+    Ok(pairs)
+}
+
+/// Interns the names [`resolve_event`] did not find, in encoding order —
+/// the order a name-by-name intern would log them in — and puts their ids
+/// into `pairs`.
+fn intern_fresh(vocab: &mut Vocabulary, pairs: &mut [(AttrId, Value)], fresh: &mut Vec<Fresh>) {
+    for f in fresh.drain(..) {
+        if f.value {
+            pairs[f.pair].1 = vocab.string(f.name);
+        } else {
+            pairs[f.pair].0 = vocab.attr(f.name);
+        }
+    }
+}
+
+/// A follower's resolution of the names [`resolve_event`] did not find.
+/// An unknown attribute cannot appear in any replicated subscription, so
+/// its pair can match nothing and is dropped — after the event is refused,
+/// as on the leader, if it names that attribute twice. An unknown string
+/// keeps its stand-in symbol.
+fn drop_unknown_attrs(
+    vocab: &Vocabulary,
+    mut pairs: Vec<(AttrId, Value)>,
+    fresh: &[Fresh],
+) -> Resolved {
+    let mut unknown: Vec<&str> = fresh.iter().filter(|f| !f.value).map(|f| f.name).collect();
+    if unknown.is_empty() {
+        return Ok(pairs);
+    }
+    unknown.sort_unstable();
+    if unknown.windows(2).any(|w| w[0] == w[1]) {
+        // The id the leader would give the name is not known here; report
+        // the one the next intern would take.
+        let next = AttrId(vocab.attrs.universe() as u32);
+        return Err(TypeError::DuplicateEventAttribute(next));
+    }
+    pairs.retain(|(attr, _)| *attr != UNKNOWN_ATTR);
+    Ok(pairs)
+}
+
+/// One session's share of a batch: its notifies in event order, each an
+/// event (an index into the batch) and the span of `ids` holding the ids
+/// it matched there, sorted.
+#[derive(Default)]
+struct Notifies {
+    events: Vec<(usize, Range<usize>)>,
+    ids: Vec<u32>,
+}
+
+impl Notifies {
+    /// Adds matched id `id` of event `k`; events arrive in order.
+    fn push(&mut self, k: usize, id: u32) {
+        self.ids.push(id);
+        let end = self.ids.len();
+        match self.events.last_mut() {
+            Some((last, span)) if *last == k => span.end = end,
+            _ => self.events.push((k, end - 1..end)),
+        }
+    }
+}
+
+/// Fans one batch's match sets (`matched[k]` for the event whose encoded
+/// body is `bodies[k]`) out to the sessions owning the matched
+/// subscriptions. One registry hold groups the whole batch by session;
+/// then each session gets one delivery lock hold and one queue push
+/// carrying its notifies in event order, with the delivery policy applied
+/// to each notify. Each notify forwards its event's body verbatim.
+fn deliver(state: &State, matched: &[Vec<SubscriptionId>], bodies: &[&[u8]]) {
     let mut targets: Vec<(Arc<Delivery>, Notifies)> = Vec::new();
     {
         // Group under the registry lock, then release it: enqueueing may
@@ -1325,16 +1520,12 @@ fn deliver(state: &State, matched: &[Vec<SubscriptionId>], wires: &[&WireEvent])
                         let Some(session) = reg.sessions.get(&token) else {
                             continue;
                         };
-                        targets.push((Arc::clone(&session.delivery), Vec::new()));
+                        targets.push((Arc::clone(&session.delivery), Notifies::default()));
                         slot.insert(token, targets.len() - 1);
                         targets.len() - 1
                     }
                 };
-                let notifies = &mut targets[t].1;
-                match notifies.last_mut() {
-                    Some((last, ids)) if *last == k => ids.push(id.0),
-                    _ => notifies.push((k, vec![id.0])),
-                }
+                targets[t].1.push(k, id.0);
             }
         }
     }
@@ -1342,7 +1533,7 @@ fn deliver(state: &State, matched: &[Vec<SubscriptionId>], wires: &[&WireEvent])
         let mut st = delivery.state.lock();
         // Every notify consumes its seq, whatever befalls it: a gap marks
         // each one the subscriber will not see.
-        let n = notifies.len() as u64;
+        let n = notifies.events.len() as u64;
         let first_seq = st.next_seq;
         st.next_seq += n;
         let Some(conn) = st.conn.as_ref() else {
@@ -1350,15 +1541,13 @@ fn deliver(state: &State, matched: &[Vec<SubscriptionId>], wires: &[&WireEvent])
             continue;
         };
         let mut frames: Vec<Out> = notifies
-            .into_iter()
+            .events
+            .iter()
             .zip(first_seq..)
-            .map(|((k, ids), seq)| {
-                let frame = Frame::Notify {
-                    seq,
-                    ids,
-                    event: wires[k].clone(),
-                };
-                Out::Frame(frame.to_bytes())
+            .map(|((k, span), seq)| {
+                let mut bytes = Vec::new();
+                frame::write_notify(&mut bytes, seq, &notifies.ids[span.clone()], bodies[*k]);
+                Out::Frame(bytes)
             })
             .collect();
         let result = match state.config.delivery {
@@ -1428,18 +1617,76 @@ fn wire_subscription(
     Subscription::from_predicates(predicates)
 }
 
-/// Interns a wire event's pairs; [`Event::from_pairs`] validates them
-/// (duplicate attributes rejected).
-fn intern_pairs(vocab: &mut Vocabulary, wire: &WireEvent) -> Vec<(AttrId, Value)> {
-    wire.pairs
-        .iter()
-        .map(|(attr, value)| {
-            let attr = vocab.attr(attr);
-            let value = match value {
-                WireValue::Int(i) => Value::Int(*i),
-                WireValue::Str(s) => vocab.string(s),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::WireEvent;
+    use pubsub_bench::CountingAllocator;
+    use pubsub_core::EngineKind;
+
+    /// Heap allocations one publish costs on the reader thread, through
+    /// the steps `flush_publishes` and `deliver` take for it: verified
+    /// payload, borrowed decode, interning, `Event::from_pairs`, one
+    /// notify and the ack. The batch's own containers are not counted:
+    /// one read's whole batch shares them.
+    fn allocations_per_publish(broker: &SharedBroker, n: i64) -> u64 {
+        let event = WireEvent {
+            pairs: (0..n)
+                .map(|i| (format!("attr{i}"), WireValue::Int(i)))
+                .collect(),
+        };
+        let bytes = Frame::Publish {
+            req: 7,
+            event: event.clone(),
+        }
+        .to_bytes();
+        let matched = vec![vec![SubscriptionId(3)]];
+        let mut reader = FrameReader::new();
+        let mut notifies = Notifies::default();
+        let mut count = 0;
+        // The first round interns the names and sizes the reader's buffer
+        // and the batch's containers; the second is the steady state.
+        for _ in 0..2 {
+            notifies.events.clear();
+            notifies.ids.clear();
+            let before = CountingAllocator::thread_allocations();
+            reader.extend(&bytes);
+            let span = reader.next_payload().unwrap().unwrap();
+            let publish = PublishRef::parse(reader.payload(span)).unwrap().unwrap();
+            let pairs = broker.with_vocab(|vocab| {
+                let mut fresh = Vec::new();
+                let mut pairs = resolve_event(vocab, publish.body, &mut fresh).unwrap();
+                intern_fresh(vocab, &mut pairs, &mut fresh);
+                pairs
+            });
+            let interned = Event::from_pairs(pairs).unwrap();
+            for id in &matched[0] {
+                notifies.push(0, id.0);
+            }
+            let (_, ids) = &notifies.events[0];
+            let mut notify = Vec::new();
+            frame::write_notify(&mut notify, 1, &notifies.ids[ids.clone()], publish.body);
+            let ack = publish_reply(publish.req, Ok(0), &matched).to_bytes();
+            count = CountingAllocator::thread_allocations() - before;
+
+            assert_eq!(interned.len() as i64, n);
+            let expected = Frame::Notify {
+                seq: 1,
+                ids: vec![3],
+                event: event.clone(),
             };
-            (attr, value)
-        })
-        .collect()
+            assert_eq!(notify, expected.to_bytes());
+            let expected = Frame::Ack(Ack::Publish { req: 7, matched: 1 });
+            assert_eq!(ack, expected.to_bytes());
+        }
+        count
+    }
+
+    #[test]
+    fn a_publish_allocates_three_times_whatever_its_size() {
+        let broker = SharedBroker::new(EngineKind::Counting, 1);
+        // The event's pair vector, the notify record and the ack record.
+        assert_eq!(allocations_per_publish(&broker, 2), 3);
+        assert_eq!(allocations_per_publish(&broker, 33), 3);
+    }
 }

@@ -9,9 +9,10 @@
 use proptest::prelude::*;
 use pubsub_broker::SharedBroker;
 use pubsub_core::EngineKind;
+use pubsub_net::frame::write_notify;
 use pubsub_net::{
-    Ack, Client, ErrorCode, Frame, FrameError, FrameReader, Server, WireEvent, WirePredicate,
-    WireValue, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    Ack, Client, ErrorCode, Frame, FrameError, FrameReader, PublishRef, Server, WireEvent,
+    WireEventRef, WirePredicate, WireValue, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use pubsub_types::{CodecError, Operator};
 use std::io::{Read, Write};
@@ -107,15 +108,91 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
+/// A payload decoded the way the server reads a publish: the borrowed head,
+/// then the event walked pair by pair in place. `Ok(None)` for any frame
+/// that is not a publish.
+fn decode_borrowed(payload: &[u8]) -> Result<Option<Frame>, CodecError> {
+    let Some(publish) = PublishRef::parse(payload)? else {
+        return Ok(None);
+    };
+    let mut walk = WireEventRef::new(publish.body)?;
+    let mut pairs = Vec::new();
+    while let Some((name, value)) = walk.next_pair()? {
+        pairs.push((name.to_string(), value.to_owned_value()));
+    }
+    Ok(Some(Frame::Publish {
+        req: publish.req,
+        event: WireEvent { pairs },
+    }))
+}
+
 // ---- round-trip conformance ------------------------------------------------
 
 proptest! {
-    /// encode → decode is the identity for every frame type.
+    /// encode → decode is the identity for every frame type, and the
+    /// borrowed publish decode agrees with the owned one.
     #[test]
     fn every_frame_round_trips(frame in arb_frame()) {
         let mut payload = Vec::new();
         frame.encode(&mut payload);
-        prop_assert_eq!(Frame::decode(&payload).unwrap(), frame);
+        prop_assert_eq!(Frame::decode(&payload).unwrap(), frame.clone());
+        let borrowed = decode_borrowed(&payload).unwrap();
+        if matches!(frame, Frame::Publish { .. }) {
+            prop_assert_eq!(borrowed, Some(frame));
+        } else {
+            prop_assert_eq!(borrowed, None);
+        }
+    }
+
+    /// A notify built by forwarding a publish's body verbatim is byte for
+    /// byte the encoded `Notify` of the same event.
+    #[test]
+    fn verbatim_notifies_match_the_encoder(
+        req in any::<u32>(),
+        seq in any::<u64>(),
+        ids in arb_ids(),
+        event in arb_event(),
+        prefix in prop::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let mut payload = Vec::new();
+        Frame::Publish { req, event: event.clone() }.encode(&mut payload);
+        let publish = PublishRef::parse(&payload).unwrap().unwrap();
+        // Appending after existing bytes, as a writer's buffer would.
+        let mut out = prefix.clone();
+        write_notify(&mut out, seq, &ids, publish.body);
+        let mut expected = prefix;
+        Frame::Notify { seq, ids, event }.write_to(&mut expected);
+        prop_assert_eq!(out, expected);
+    }
+
+    /// Damaged publish payloads — a byte changed, cut short, or with bytes
+    /// after the event — are refused by the borrowed decode exactly as by
+    /// `Frame::decode`, and accepted by both only alike.
+    #[test]
+    fn borrowed_and_owned_publish_decodes_reject_alike(
+        req in any::<u32>(),
+        event in arb_event(),
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+        damage in 0u8..3,
+    ) {
+        let mut payload = Vec::new();
+        Frame::Publish { req, event }.encode(&mut payload);
+        match damage {
+            // Keep the tag: a changed tag is another frame, not a publish.
+            0 => {
+                let i = 1 + at.index(payload.len() - 1);
+                payload[i] = byte;
+            }
+            1 => payload.truncate(at.index(payload.len())),
+            _ => payload.push(byte),
+        }
+        let owned = Frame::decode(&payload);
+        match decode_borrowed(&payload) {
+            Ok(Some(frame)) => prop_assert_eq!(owned, Ok(frame)),
+            Ok(None) => prop_assert!(payload.is_empty() || payload[0] != 4),
+            Err(e) => prop_assert_eq!(owned, Err(e)),
+        }
     }
 
     /// A stream of frames survives arbitrary re-chunking through the
@@ -421,6 +498,72 @@ fn a_pong_sent_to_the_server_is_a_bad_request() {
         pubsub_net::ClientError::Server { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
         other => panic!("expected server refusal, got {other}"),
     }
+}
+
+/// A publish whose checksummed payload does not decode (bad UTF-8 here),
+/// pipelined between two good ones, is answered in place: the publish
+/// before it is acked, then one `BadFrame` error reports it exactly as the
+/// owned decoder words it, and the connection closes — the publish after it
+/// is never answered.
+#[test]
+fn a_malformed_publish_mid_batch_is_a_bad_frame_in_place() {
+    let server = test_server();
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    sock.write_all(
+        &Frame::Hello {
+            proto: PROTOCOL_VERSION,
+            token: 0,
+        }
+        .to_bytes(),
+    )
+    .unwrap();
+    assert!(matches!(
+        read_one_frame(&mut sock),
+        Frame::Ack(Ack::Hello { .. })
+    ));
+    let publish = |req| Frame::Publish {
+        req,
+        event: WireEvent {
+            pairs: vec![("name".into(), WireValue::Str("ok".into()))],
+        },
+    };
+    let mut bad = Vec::new();
+    publish(2).encode(&mut bad);
+    let last = bad.len() - 1;
+    bad[last] = 0xFF; // "ok" → "o\xFF": not UTF-8
+    let expected = FrameError::Codec(Frame::decode(&bad).unwrap_err()).to_string();
+    let mut bytes = publish(1).to_bytes();
+    bytes.extend_from_slice(&(bad.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&pubsub_types::codec::crc32c(&bad).to_le_bytes());
+    bytes.extend_from_slice(&bad);
+    publish(3).write_to(&mut bytes);
+    sock.write_all(&bytes).unwrap();
+
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reader = FrameReader::new();
+    let mut buf = [0u8; 1024];
+    let mut replies = Vec::new();
+    loop {
+        while let Some(frame) = reader.next_frame().expect("server speaks valid frames") {
+            replies.push(frame);
+        }
+        match sock.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => reader.extend(&buf[..n]),
+            Err(e) => panic!("server neither answered nor closed: {e}"),
+        }
+    }
+    assert_eq!(
+        replies,
+        [
+            Frame::Ack(Ack::Publish { req: 1, matched: 0 }),
+            Frame::Error {
+                req: 0,
+                code: ErrorCode::BadFrame,
+                msg: expected,
+            },
+        ]
+    );
 }
 
 /// Regression: a socket flipped to non-blocking used to turn the client's

@@ -7,12 +7,13 @@ use pubsub_broker::{BrokerError, SharedBroker, Validity};
 use pubsub_core::EngineKind;
 use pubsub_durability::{CorruptionPolicy, DurabilityConfig, FsyncPolicy};
 use pubsub_net::{
-    Client, Follower, FollowerConfig, Server, ServerConfig, WirePredicate, WireValue,
+    Client, ClientError, ErrorCode, Follower, FollowerConfig, Server, ServerConfig, WireEvent,
+    WirePredicate, WireValue,
 };
 use pubsub_types::{Event, Operator, Predicate, Subscription, Value};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -236,5 +237,131 @@ fn replication_requires_a_durable_leader() {
     let status = follower.status();
     assert_eq!(status.lag, None, "no leader position was ever announced");
     assert_eq!(fbroker.durability().unwrap().next_lsn, 0);
+    server.shutdown();
+}
+
+/// Runs `f` on its own thread and fails the test if it has not returned
+/// within the budget: a request the server never answers must fail the
+/// test, not hang it.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(20))
+        .unwrap_or_else(|_| panic!("{what} never returned"))
+}
+
+/// A publish's answer, reduced to what must agree across leader and
+/// follower: the match count, or the error class and message.
+fn outcome(r: Result<u32, ClientError>) -> Result<u32, (ErrorCode, String)> {
+    r.map_err(|e| match e {
+        ClientError::Server { code, msg } => (code, msg),
+        other => panic!("expected an ack or a server error, got {other}"),
+    })
+}
+
+fn vocab_size(broker: &SharedBroker) -> (usize, usize) {
+    broker.read_vocab(|v| (v.attrs.universe(), v.strings.len()))
+}
+
+#[test]
+fn follower_server_answers_like_the_leader_without_forking_its_vocabulary() {
+    let dir_l = temp_dir("lead-vocab");
+    let dir_f = temp_dir("fol-vocab");
+    let (leader, server) = durable_leader(&dir_l, u64::MAX);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.subscribe(vec![eq_pred("k", 1)]).unwrap();
+    client
+        .subscribe(vec![WirePredicate {
+            attr: "m".into(),
+            op: Operator::Ne,
+            value: WireValue::Str("a".into()),
+        }])
+        .unwrap();
+    let (fbroker, follower) = start_follower(&dir_f, &server);
+    wait_caught_up(&follower);
+    let fserver = Server::start_with(Arc::clone(&fbroker), "127.0.0.1:0", server_config()).unwrap();
+    let before = vocab_size(&fbroker);
+
+    let int = |v| WireValue::Int(v);
+    let string = |s: &str| WireValue::Str(s.into());
+    let events: Vec<WireEvent> = [
+        vec![("zzz", int(1))],
+        vec![("k", int(1)), ("zzz", int(2))],
+        vec![("k", int(1)), ("t", string("fresh"))],
+        vec![("m", string("never-seen"))],
+        vec![("m", string("a"))],
+        vec![("k", int(1)), ("k", int(2))],
+        vec![("zzz", int(1)), ("zzz", int(2))],
+    ]
+    .into_iter()
+    .map(|pairs| WireEvent {
+        pairs: pairs.into_iter().map(|(a, v)| (a.to_string(), v)).collect(),
+    })
+    .collect();
+
+    // A session resumed on the follower's server publishes every event and
+    // tries a subscribe naming an attribute the follower has never seen.
+    let (token, faddr, sent) = (client.token(), fserver.local_addr(), events.clone());
+    let (on_follower, refused) = within("publishing to the follower", move || {
+        let mut fclient = Client::resume(faddr, token).unwrap();
+        let acks: Vec<_> = sent
+            .into_iter()
+            .map(|e| outcome(fclient.publish(e)))
+            .collect();
+        let refused = outcome(fclient.subscribe(vec![eq_pred("brand-new", 1)]).map(|_| 0));
+        (acks, refused)
+    });
+    assert_eq!(
+        vocab_size(&fbroker),
+        before,
+        "the follower's server interned names into the replica"
+    );
+    assert!(
+        matches!(refused, Err((ErrorCode::Unavailable, _))),
+        "a follower refuses subscribes, got {refused:?}"
+    );
+
+    let on_leader: Vec<_> = events
+        .into_iter()
+        .map(|e| outcome(client.publish(e)))
+        .collect();
+    assert_eq!(on_follower.len(), on_leader.len());
+    for (i, (f, l)) in on_follower.iter().zip(&on_leader).enumerate() {
+        match (f, l) {
+            (Ok(f), Ok(l)) => assert_eq!(f, l, "event {i}: matched counts differ"),
+            (Err((fc, fm)), Err((lc, lm))) => {
+                assert_eq!(fc, lc, "event {i}: error classes differ");
+                if i == 5 {
+                    // `k` has one id on both sides, so the whole refusal agrees.
+                    assert_eq!(fm, lm, "event {i}");
+                }
+            }
+            _ => panic!("event {i}: follower answered {f:?}, leader {l:?}"),
+        }
+    }
+    assert_eq!(on_leader[1], Ok(1), "the k == 1 subscription matches");
+    assert_eq!(on_leader[3], Ok(1), "an unseen string is != \"a\"");
+    assert_eq!(on_leader[4], Ok(0));
+
+    // The replica's ids still line up with the leader's: a name the leader
+    // interns from here on gets one id on both sides.
+    let q = leader.attr("q");
+    wait_caught_up(&follower);
+    assert!(
+        wait_until(Duration::from_secs(10), || fbroker.lookup_attr("q")
+            == Some(q)),
+        "leader's q = {q:?}, follower's {:?}",
+        fbroker.lookup_attr("q")
+    );
+    for name in ["k", "m", "zzz", "t"] {
+        assert_eq!(
+            fbroker.lookup_attr(name),
+            leader.lookup_attr(name),
+            "{name}"
+        );
+    }
+    fserver.shutdown();
     server.shutdown();
 }

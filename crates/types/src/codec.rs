@@ -28,10 +28,13 @@ use crate::{AttrId, Symbol};
 
 // ---- CRC32C ---------------------------------------------------------------
 
-/// The CRC32C (Castagnoli) lookup table, built at compile time from the
-/// reflected polynomial 0x82F63B78.
-const CRC32C_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The CRC32C (Castagnoli) slice-by-8 tables, built at compile time from
+/// the reflected polynomial 0x82F63B78. `CRC32C_TABLES[0]` is the classic
+/// bytewise table; `CRC32C_TABLES[k][b]` is the CRC step of byte `b`
+/// followed by `k` zero bytes, so eight table lookups advance the CRC by
+/// eight bytes at once.
+const CRC32C_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -44,17 +47,41 @@ const CRC32C_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// Computes the CRC32C checksum of `data`.
+/// Computes the CRC32C checksum of `data`, eight bytes per step
+/// (slice-by-8) and the tail bytewise.
 pub fn crc32c(data: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -155,6 +182,13 @@ impl<'a> Reader<'a> {
     pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.u32()? as usize;
         self.take(len)
+    }
+
+    /// Consumes and returns every byte not yet read.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
     }
 }
 
@@ -311,13 +345,58 @@ mod tests {
     use super::*;
     use crate::subscription::SubscriptionBuilder;
 
+    /// The one-byte-at-a-time table loop: the oracle the slice-by-8
+    /// [`crc32c`] must agree with on every input.
+    fn crc32c_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC32C_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn crc32c_known_vectors() {
-        // RFC 3720 test vectors.
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
+        // RFC 3720 §B.4 test vectors, plus the customary check value.
+        let ascending: Vec<u8> = (0..32).collect();
+        for (data, want) in [
+            (&b""[..], 0),
+            (&b"123456789"[..], 0xE306_9283),
+            (&[0u8; 32][..], 0x8A91_36AA),
+            (&[0xFFu8; 32][..], 0x62A8_AB43),
+            (&ascending[..], 0x46DD_794E),
+        ] {
+            assert_eq!(crc32c(data), want, "{data:?}");
+            assert_eq!(crc32c_bytewise(data), want, "{data:?}");
+        }
+    }
+
+    #[test]
+    fn crc32c_matches_the_bytewise_loop_at_every_length_and_offset() {
+        // Every tail length (0..8) at every alignment, over data that
+        // touches every table entry.
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 167 + 13) as u8).collect();
+        for start in 0..8 {
+            for end in start..data.len() {
+                let slice = &data[start..end];
+                assert_eq!(crc32c(slice), crc32c_bytewise(slice), "{start}..{end}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random bytes, lengths 0..=2048, placed at every start offset
+        /// modulo 8 inside a larger buffer.
+        #[test]
+        fn crc32c_agrees_with_the_bytewise_loop(
+            data in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..2049),
+            offset in 0usize..8,
+        ) {
+            let mut buf = vec![0xA5u8; offset];
+            buf.extend_from_slice(&data);
+            let slice = &buf[offset..];
+            proptest::prop_assert_eq!(crc32c(slice), crc32c_bytewise(slice));
+        }
     }
 
     #[test]

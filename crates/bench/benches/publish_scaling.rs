@@ -1,12 +1,10 @@
 //! Publisher-thread scaling of the broker publish path: the same W0
 //! subscription set published concurrently from 1, 2, 4 and 8 threads
-//! through `SharedBroker`'s epoch-protected snapshots.
+//! through `SharedBroker`'s published snapshots.
 //!
-//! Publishers share nothing but a pointer load and a thread-local epoch
-//! slot, so aggregate throughput should hold as threads are added. (On a
-//! single-core host it plateaus — the win is the absence of lock
-//! hand-offs, not parallel speedup.) The recorded comparison against the
-//! deleted lock-the-shards path is `results/BENCH_contention.json`.
+//! Publishers share nothing but the lock held for one `Arc` clone per
+//! publish, so aggregate throughput should hold as threads are added. (On
+//! a single-core host it plateaus: there is no parallel speedup to gain.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pubsub_bench::load_shared_broker;

@@ -1,4 +1,4 @@
-//! Published engine snapshots for the lock-free publish path of
+//! Published engine snapshots for the publish path of
 //! [`crate::shared::SharedBroker`].
 //!
 //! Each stripe's subscription set is published as a `ShardSnap`: a short
@@ -25,7 +25,7 @@
 //! per tier — no reader ever brute-forces more than L0.
 //!
 //! A `BrokerSnapshot` is one consistent cut across all stripes; the writer
-//! publishes it through a [`pubsub_core::RcuCell`] after every mutation that
+//! publishes it, as an `Arc` a publish clones, after every mutation that
 //! changes a stripe.
 
 use crate::table::SubTable;
@@ -468,8 +468,8 @@ pub(crate) struct ReadScratch {
     view: ViewScratch,
 }
 
-/// One consistent cut of the whole broker, published via
-/// [`pubsub_core::RcuCell`]. Cloning the stripe vector (one clone per flip)
+/// One consistent cut of the whole broker, published as an `Arc` that
+/// each publish clones. Cloning the stripe vector (one clone per flip)
 /// copies `Arc` handles only.
 pub(crate) struct BrokerSnapshot {
     pub(crate) shards: Vec<ShardSnap>,
@@ -552,20 +552,21 @@ fn nanos(from: Instant, to: Instant) -> u64 {
     (to - from).as_nanos() as u64
 }
 
-/// Point-in-time view of the RCU publish machinery, surfaced by
+/// Point-in-time view of the snapshot publication, surfaced by
 /// [`crate::shared::SharedBroker::rcu_status`] (and the CLI `stats`
 /// command).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RcuStatus {
     /// Snapshot pointer flips since the broker was created.
     pub flips: u64,
-    /// Current RCU epoch (1 + flips; grows with every publish of a new
-    /// snapshot).
+    /// Current snapshot epoch: `flips + 1`.
     pub epoch: u64,
-    /// Retired snapshots whose reclamation is still deferred by readers.
+    /// Snapshots flips replaced that the writer has not freed yet: a
+    /// reader held each at the last flip or `compact()`.
     pub retired: usize,
-    /// Reader slots currently pinned (sampled; readers pin only inside a
-    /// publish call, so this is almost always 0 at rest).
+    /// Outstanding reader handles on the current and the retired
+    /// snapshots (sampled; a publish holds one only for its own call, so
+    /// this is almost always 0 at rest).
     pub active_readers: usize,
     /// Frozen tier engines across all stripes of the published snapshot.
     pub tiers: usize,

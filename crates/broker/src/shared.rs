@@ -1,4 +1,4 @@
-//! A thread-safe broker handle with a lock-free publish path.
+//! A thread-safe broker handle with a snapshot-reading publish path.
 //!
 //! The matching engines are single-writer structures. `SharedBroker` splits
 //! the subscription set across `N` stripes (`stripe = id mod N`), each a
@@ -7,23 +7,25 @@
 //! and the predicate registry their tiers share, live inside one writer
 //! mutex.
 //!
-//! **Publishes take no locks at all**: every mutation that changes a stripe
-//! publishes an immutable `BrokerSnapshot` through an
-//! epoch-protected [`pubsub_core::RcuCell`], and publishers pin the current
-//! snapshot, match it with per-thread scratch (phase 1 once against the
-//! snapshot's broker-wide predicate index, then every tier's phase 2 on its
-//! bit vector) and unpin — zero contention between concurrent publishers,
-//! and between publishers and mutators. Mutators serialize on the writer
-//! mutex, apply the change to the owning stripe's table, record it in that
+//! **Publishes never wait for a mutation**: every mutation that changes a
+//! stripe publishes an immutable `BrokerSnapshot` as an `Arc` in the
+//! `published` slot, and a publish locks that slot only to clone the
+//! `Arc` (one handle per call, so one per batch), then matches the
+//! snapshot with per-thread scratch (phase 1 once against the snapshot's
+//! broker-wide predicate index, then every tier's phase 2 on its bit
+//! vector) and drops the handle. Mutators serialize on the writer mutex,
+//! apply the change to the owning stripe's table, record it in that
 //! stripe's snapshot state (an L0 entry or a tombstone on a frozen tier;
-//! tiers merge geometrically, see [`crate::rcu`]), and flip the snapshot
-//! pointer if some stripe changed; old snapshots are reclaimed once every
-//! reader epoch has passed. The frozen tiers are the only engines this
-//! handle owns — a subscription is indexed once, a predicate once. See
-//! DESIGN.md §12 for the full protocol.
+//! tiers merge geometrically, see [`crate::rcu`]), and swap a new snapshot
+//! into the slot if some stripe changed. The writer keeps the snapshots it
+//! replaced and frees each at a later flip or [`SharedBroker::compact`],
+//! once its `Arc` has no other holder, so a publish never frees a
+//! snapshot. The frozen tiers are the only engines this handle owns — a
+//! subscription is indexed once, a predicate once. See DESIGN.md §12 for
+//! the full protocol.
 //!
-//! Lock order, stated once: `writer < vocab < sessions < wal`. Every
-//! multi-lock path acquires in that order.
+//! Lock order, stated once: `writer < vocab < sessions < wal`, and
+//! `writer < published`. Every multi-lock path acquires in that order.
 //!
 //! Consequences, documented rather than hidden:
 //!
@@ -46,7 +48,7 @@ use crate::rcu::{BrokerSnapshot, RcuStatus, ReadScratch, Registry, ShardSnap};
 use crate::table::SubTable;
 use crate::time::{LogicalTime, Validity};
 use parking_lot::Mutex;
-use pubsub_core::{EngineKind, EngineStats, RcuCell};
+use pubsub_core::{EngineKind, EngineStats};
 use pubsub_durability::{
     replication, DurabilityConfig, Lsn, Recovered, RecoveryReport, SnapshotState, Wal, WalError,
     WalOp,
@@ -302,6 +304,8 @@ struct Stripe {
 struct Writer {
     stripes: Vec<Stripe>,
     preds: Registry,
+    /// Snapshots flips replaced that a reader may still hold.
+    retired: Vec<Arc<BrokerSnapshot>>,
 }
 
 impl Writer {
@@ -315,7 +319,11 @@ impl Writer {
                 table,
             })
             .collect();
-        Writer { stripes, preds }
+        Writer {
+            stripes,
+            preds,
+            retired: Vec::new(),
+        }
     }
 
     /// The stripe owning `id` (ids are striped across stripes).
@@ -408,6 +416,15 @@ impl Writer {
             preds: self.preds.published(),
         })
     }
+
+    /// Frees every retired snapshot that no reader holds any more. Once
+    /// retired, a snapshot gains no new holder (readers clone only the
+    /// published one), so a strong count of 1 is final, and the snapshot is
+    /// freed here, on the writer side, never when a publish drops its
+    /// handle.
+    fn reclaim(&mut self) {
+        self.retired.retain(|snap| Arc::strong_count(snap) > 1);
+    }
 }
 
 /// Live `(id, subscription, validity)` rows across all stripes, stripe by
@@ -443,8 +460,9 @@ struct Inner {
     /// Mutators update it in place and publish a clone of the stripes'
     /// snapshots through `published`.
     writer: Mutex<Writer>,
-    /// The epoch-protected snapshot the publish path reads.
-    published: RcuCell<BrokerSnapshot>,
+    /// The snapshot the publish path reads: a publish clones the `Arc`
+    /// under the lock, a flip swaps it under the writer lock.
+    published: Mutex<Arc<BrokerSnapshot>>,
     /// Snapshot flips, mirrored outside the metrics feature so `stats` can
     /// always report it.
     flips: AtomicU64,
@@ -567,8 +585,8 @@ fn rebuild_state(
     (vocab, tables, sessions)
 }
 
-/// A cloneable, thread-safe broker handle: lock-free publishes, mutations
-/// serialized on one writer mutex.
+/// A cloneable, thread-safe broker handle: publishes read an immutable
+/// snapshot, mutations serialize on one writer mutex.
 #[derive(Clone)]
 pub struct SharedBroker {
     inner: Arc<Inner>,
@@ -593,7 +611,7 @@ impl SharedBroker {
     }
 
     /// Builds the handle around recovered (or empty) state, freezing each
-    /// table as its stripe's first published base — so lock-free publishes
+    /// table as its stripe's first published base — so publishes
     /// see a recovered subscription set from the first event onward.
     fn assemble(
         kind: EngineKind,
@@ -612,7 +630,7 @@ impl SharedBroker {
                 follower: AtomicBool::new(false),
                 kind,
                 stripes: writer.stripes.len(),
-                published: RcuCell::new(writer.snapshot()),
+                published: Mutex::new(writer.snapshot()),
                 writer: Mutex::new(writer),
                 flips: AtomicU64::new(0),
                 rcu_stats: RcuStatsAgg::default(),
@@ -738,37 +756,52 @@ impl SharedBroker {
 
     // ---- RCU snapshot plumbing -------------------------------------------
 
+    /// A handle on the published snapshot: lock, clone the `Arc`, unlock.
+    fn pin(&self) -> Arc<BrokerSnapshot> {
+        Arc::clone(&self.inner.published.lock())
+    }
+
     /// Publishes the writer state as a new immutable snapshot. Caller holds
-    /// the writer lock, which serializes flips.
+    /// the writer lock, which serializes flips. The replaced snapshot joins
+    /// the retired list, which is reclaimed at once.
     fn flip(&self, writer: &mut Writer) {
-        self.inner.published.publish(writer.snapshot());
+        let next = writer.snapshot();
+        let old = std::mem::replace(&mut *self.inner.published.lock(), next);
+        writer.retired.push(old);
+        writer.reclaim();
         self.inner.flips.fetch_add(1, Ordering::Relaxed);
         SNAPSHOT_FLIPS.inc();
     }
 
-    /// Point-in-time view of the RCU machinery: flips, epoch, deferred
-    /// reclamation, pinned readers, and the published tier shape.
+    /// Point-in-time view of the snapshot publication: flips, epoch,
+    /// retired snapshots, reader handles, and the published tier shape.
     pub fn rcu_status(&self) -> RcuStatus {
-        let (tiers, l0, built, predicates) = {
-            let snap = self.inner.published.pin();
-            let (tiers, l0, built) = snap
-                .shards
-                .iter()
-                .map(ShardSnap::shape)
-                .fold((0, 0, 0), |(t, l, b), (st, sl, sb)| {
-                    (t + st, l + sl, b + sb)
-                });
-            (tiers, l0, built, snap.preds.len())
-        };
+        let writer = self.inner.writer.lock();
+        let snap = self.pin();
+        // Reader handles are the strong counts above the broker's own (the
+        // published slot, the retired list), less this call's handle.
+        let active_readers = std::iter::once(&snap)
+            .chain(&writer.retired)
+            .map(|s| Arc::strong_count(s) - 1)
+            .sum::<usize>()
+            - 1;
+        let (tiers, l0, built) = snap
+            .shards
+            .iter()
+            .map(ShardSnap::shape)
+            .fold((0, 0, 0), |(t, l, b), (st, sl, sb)| {
+                (t + st, l + sl, b + sb)
+            });
+        let flips = self.inner.flips.load(Ordering::Relaxed);
         RcuStatus {
-            flips: self.inner.flips.load(Ordering::Relaxed),
-            epoch: self.inner.published.epoch(),
-            retired: self.inner.published.retired_len(),
-            active_readers: self.inner.published.active_readers(),
+            flips,
+            epoch: flips + 1,
+            retired: writer.retired.len(),
+            active_readers,
             tiers,
             l0,
             built,
-            predicates,
+            predicates: snap.preds.len(),
         }
     }
 
@@ -779,18 +812,17 @@ impl SharedBroker {
     }
 
     /// Rebuilds every stripe that holds more than one frozen tier, an L0
-    /// entry or a tombstone as a single base engine, and drains reclaimable
-    /// snapshot garbage. Publishes stay lock-free throughout. A compacted
-    /// stripe runs one engine per event instead of one per tier, so this
-    /// is useful before latency measurements and in quiet periods; the
-    /// tiers keep publishes fast without it.
+    /// entry or a tombstone as a single base engine, and frees every
+    /// retired snapshot no reader holds. Publishes go on meanwhile. A
+    /// compacted stripe runs one engine per event instead of one per tier,
+    /// so this is useful before latency measurements and in quiet periods;
+    /// the tiers keep publishes fast without it.
     pub fn compact(&self) {
         let mut writer = self.inner.writer.lock();
         if writer.compact() {
             self.flip(&mut writer);
         }
-        drop(writer);
-        self.inner.published.reclaim();
+        writer.reclaim();
     }
 
     // ---- vocabulary (shared across shards) -------------------------------
@@ -837,11 +869,10 @@ impl SharedBroker {
     /// interned cannot appear in any subscription, so an event pair naming
     /// it can simply be dropped (it can match nothing). On a follower every
     /// publish and subscribe path resolves this way, never through
-    /// [`SharedBroker::with_vocab`], whose follower check can only fire
-    /// after its closure has already interned: the network server drops
-    /// such pairs (still refusing an event that names one twice), gives an
-    /// unknown string the symbol the next intern would take, and refuses
-    /// a subscribe before interning anything.
+    /// [`SharedBroker::with_vocab`], which refuses a follower: the network
+    /// server drops such pairs (still refusing an event that names one
+    /// twice), gives an unknown string the symbol the next intern would
+    /// take, and refuses a subscribe before interning anything.
     pub fn lookup_attr(&self, name: &str) -> Option<AttrId> {
         self.inner.vocab.lock().attrs.get(name)
     }
@@ -876,18 +907,22 @@ impl SharedBroker {
     /// ids are dense and sequential, so the additions are exactly the id
     /// range grown during the call), with the same silent-degrade contract
     /// as [`SharedBroker::attr`].
+    ///
+    /// # Panics
+    ///
+    /// On a replication follower, before `f` runs: `f` could intern, and
+    /// an entry the leader never logged would fork the follower's
+    /// vocabulary. Followers use [`SharedBroker::read_vocab`].
     pub fn with_vocab<R>(&self, f: impl FnOnce(&mut Vocabulary) -> R) -> R {
         let mut vocab = self.inner.vocab.lock();
-        let attrs_before = vocab.attrs.universe();
-        let strings_before = vocab.strings.len();
-        let out = f(&mut vocab);
         assert!(
-            !self.is_follower()
-                || (vocab.attrs.universe() == attrs_before
-                    && vocab.strings.len() == strings_before),
+            !self.is_follower(),
             "interning new entries on a replication follower would fork its \
              vocabulary from the leader's; use read_vocab"
         );
+        let attrs_before = vocab.attrs.universe();
+        let strings_before = vocab.strings.len();
+        let out = f(&mut vocab);
         for raw in attrs_before..vocab.attrs.universe() {
             let name = vocab.attrs.name(AttrId(raw as u32)).to_string();
             self.log_intern(move || WalOp::InternAttr(name));
@@ -1180,14 +1215,15 @@ impl SharedBroker {
     }
 
     /// Publishes an event, appending the matched ids to `out` (sorted by id
-    /// within this publish): pin the current snapshot, run phase 1 once and
-    /// every shard's phase 2 with this thread's scratch, unpin, sort. Nothing here blocks or
-    /// contends — the pin is two atomic writes to a thread-owned slot — and
+    /// within this publish): take a handle on the current snapshot, run
+    /// phase 1 once and every shard's phase 2 with this thread's scratch,
+    /// drop the handle, sort. The only shared step is the handle, a lock
+    /// held for one `Arc` clone (a flip holds it for one swap), and
     /// nothing is allocated beyond what `out` needs.
     pub fn publish_into(&self, event: &Event, out: &mut Vec<SubscriptionId>) {
         crate::broker::PUBLISHES.inc();
         let start = out.len();
-        let snap = self.inner.published.pin();
+        let snap = self.pin();
         let stats =
             PUBLISH_SCRATCH.with(|cell| snap.match_into(event, &mut cell.borrow_mut(), out));
         drop(snap);
@@ -1203,7 +1239,7 @@ impl SharedBroker {
     }
 
     /// Batched publish into a caller-owned buffer (one inner vector per
-    /// event, reused across calls). One snapshot pin covers the whole
+    /// event, reused across calls). One snapshot handle covers the whole
     /// batch, so every event in it matches against the same consistent cut.
     /// Phase 1 runs once for the whole batch. Scratch buffers are
     /// thread-local, so concurrent batch publishers never serialize on
@@ -1218,7 +1254,7 @@ impl SharedBroker {
             return;
         }
         crate::broker::PUBLISHES.add(events.len() as u64);
-        let snap = self.inner.published.pin();
+        let snap = self.pin();
         let stats =
             PUBLISH_SCRATCH.with(|cell| snap.match_batch_into(events, &mut cell.borrow_mut(), out));
         drop(snap);
@@ -1502,8 +1538,8 @@ impl SharedBroker {
     /// follower's position predates the leader's oldest retained segment).
     /// Validates the raw snapshot-file bytes, installs them atomically into
     /// the WAL directory, reopens the log at `lsn`, and rebuilds the entire
-    /// in-memory state — one stop-the-world swap, published to lock-free
-    /// readers as a single snapshot flip. Streaming resumes at `lsn`.
+    /// in-memory state — one stop-the-world swap, published to readers as
+    /// a single snapshot flip. Streaming resumes at `lsn`.
     pub fn install_replicated_snapshot(&self, lsn: Lsn, bytes: &[u8]) -> Result<(), BrokerError> {
         let durable = self.inner.durable.as_ref().ok_or(BrokerError::NotDurable)?;
         if !self.is_follower() {
@@ -1829,6 +1865,64 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A handle held across flips keeps its cut and is counted as a reader
+    /// and as a retired snapshot. Once it drops, the writer frees the
+    /// snapshot at its next flip or `compact()`, and not before; dropping
+    /// the broker frees the rest.
+    #[test]
+    fn held_handles_keep_their_cut_until_the_writer_reclaims() {
+        let broker = SharedBroker::new(EngineKind::Counting, 1);
+        let attr = broker.attr("h");
+        let sub = |v: i64| Subscription::builder().eq(attr, v).build().unwrap();
+        let event = Event::builder().pair(attr, 1i64).build().unwrap();
+        let shape = |b: &SharedBroker| {
+            let s = b.rcu_status();
+            (s.retired, s.active_readers)
+        };
+        let first = broker.subscribe(sub(1), Validity::forever());
+        assert_eq!(shape(&broker), (0, 0), "no reader: each flip reclaims");
+
+        let held = broker.pin();
+        assert_eq!(shape(&broker), (0, 1));
+        let second = broker.subscribe(sub(1), Validity::forever());
+        assert_eq!(shape(&broker), (1, 1));
+        let mut got = Vec::new();
+        held.match_into(&event, &mut ReadScratch::default(), &mut got);
+        assert_eq!(got, vec![first], "the held cut");
+        assert_eq!(broker.publish(&event), vec![first, second], "the newest");
+        // A second handle counts too, and its drop leaves the first held.
+        let newer = broker.pin();
+        assert_eq!(shape(&broker), (1, 2));
+        drop(newer);
+        assert_eq!(shape(&broker), (1, 1));
+
+        let old = Arc::downgrade(&held);
+        drop(held);
+        assert_eq!(shape(&broker), (1, 0));
+        assert_eq!(old.strong_count(), 1, "the writer still owns it");
+        broker.subscribe(sub(2), Validity::forever());
+        assert_eq!(old.strong_count(), 0, "freed at the next flip");
+        assert_eq!(shape(&broker), (0, 0));
+
+        let held = broker.pin();
+        broker.compact();
+        let old = Arc::downgrade(&held);
+        drop(held);
+        assert_eq!((shape(&broker), old.strong_count()), ((1, 0), 1));
+        let flips = broker.rcu_status().flips;
+        broker.compact();
+        assert_eq!(broker.rcu_status().flips, flips, "already compact");
+        assert_eq!((shape(&broker), old.strong_count()), ((0, 0), 0));
+
+        let held = broker.pin();
+        broker.subscribe(sub(3), Validity::forever());
+        let retired = Arc::downgrade(&held);
+        drop(held);
+        let current = Arc::downgrade(&broker.pin());
+        drop(broker);
+        assert_eq!((retired.strong_count(), current.strong_count()), (0, 0));
+    }
+
     /// A reader pinned on an old snapshot evaluates that snapshot's own
     /// copy of the predicate index. The writer churns until a dead
     /// predicate's id names a new one, and the pinned reader's publishes
@@ -1844,7 +1938,7 @@ mod tests {
             let ids: Vec<SubscriptionId> = (0..32)
                 .map(|v| broker.subscribe(sub(v), Validity::forever()))
                 .collect();
-            let pinned = broker.inner.published.pin();
+            let pinned = broker.pin();
 
             // Five tombstones pass 1/8 of the tier, which is rebuilt
             // without their predicates; 32 fresh constants then freeze into
@@ -1855,7 +1949,7 @@ mod tests {
             for v in 100..132 {
                 broker.subscribe(sub(v), Validity::forever());
             }
-            let current = broker.inner.published.pin();
+            let current = broker.pin();
             let recycled = pinned.preds.iter().any(|(id, old)| {
                 current
                     .preds

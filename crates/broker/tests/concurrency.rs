@@ -1,4 +1,4 @@
-//! Stress and differential tests for the lock-free (RCU) publish path.
+//! Stress and differential tests for the snapshot (RCU) publish path.
 //!
 //! Three layers of evidence that snapshot publishing is correct:
 //!

@@ -348,6 +348,32 @@ fn follower_refuses_local_mutations_until_promoted() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `with_vocab` refuses a follower before its closure runs, so a closure
+/// that interns cannot fork the replica's vocabulary on its way to the
+/// panic.
+#[test]
+fn with_vocab_refuses_a_follower_before_interning() {
+    let dir = temp_dir("with-vocab");
+    let (follower, _) =
+        SharedBroker::open_follower(EngineKind::Counting, 1, &dir, config()).unwrap();
+    let universe = || follower.read_vocab(|v| (v.attrs.universe(), v.strings.len()));
+    let before = universe();
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        follower.with_vocab(|v| v.attr("zzz"))
+    }))
+    .expect_err("with_vocab on a follower must panic");
+    let message = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or_default();
+    assert!(message.contains("would fork its vocabulary"), "{message}");
+    assert_eq!(universe(), before, "nothing interned");
+    assert_eq!(follower.lookup_attr("zzz"), None);
+    drop(follower);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn foreign_durable_history_is_refused_but_follower_dirs_reopen() {
     let dir = temp_dir("foreign");

@@ -19,11 +19,14 @@
 //! timers, stats; each engine supplies only its phase 2). It runs through
 //! `&self` with caller-owned scratch as [`view::MatchView`];
 //! [`view::build_tier`] builds the same engines without an index of their
-//! own, as phase-2-only [`view::TierEngine`]s over a caller's predicate ids;
-//! and
-//! [`rcu::RcuCell`] provides the epoch-protected snapshot publication the
-//! broker's lock-free publish path is built on.
+//! own, as phase-2-only [`view::TierEngine`]s over a caller's predicate ids.
+//!
+//! The crate's one `unsafe` block is the paper's prefetch instruction
+//! ([`prefetch::prefetch_read`], §2.2), which alone allows `unsafe_code`;
+//! the crate denies it rather than forbidding it because `forbid` cannot
+//! be relaxed for that one function.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
@@ -34,7 +37,6 @@ pub mod counting;
 pub mod engine;
 pub mod prefetch;
 pub mod propagation;
-pub mod rcu;
 pub mod tables;
 pub mod view;
 
@@ -44,7 +46,6 @@ pub use clustered::{ClusteredMatcher, DynamicConfig};
 pub use counting::CountingMatcher;
 pub use engine::{default_shards, EngineKind, EngineStats, MatchEngine};
 pub use propagation::PropagationMatcher;
-pub use rcu::{RcuCell, RcuGuard};
 pub use tables::MultiAttrTable;
 pub use view::{
     build_frozen, build_tier, record_phases, MatchView, SnapshotEngine, TierEngine, ViewScratch,

@@ -11,6 +11,7 @@
 /// levels. Non-binding: the CPU may ignore it; correctness never depends on
 /// it.
 #[inline(always)]
+#[allow(unsafe_code)]
 pub fn prefetch_read<T>(r: &T) {
     #[cfg(target_arch = "x86_64")]
     unsafe {

@@ -7,19 +7,12 @@
 //! whose encoded key is ≥ target" — the batched evaluator turns every
 //! per-direction `partition_point` into one of these over a galloped window.
 //!
-//! Three implementations share one contract and are proptest-checked against
+//! Two implementations share one contract and are proptest-checked against
 //! each other (`crates/index/tests/proptests.rs`):
 //!
 //! * [`lower_bound_scalar`] — `slice::partition_point`, the reference.
 //! * [`lower_bound_portable`] — branchless halving to a small window, then a
 //!   counting scan over `u64` lanes that the compiler auto-vectorizes.
-//!   Always compiled; the default dispatch target.
-//! * SSE2/AVX2 (`--features simd`, x86-64 only) — explicit `std::arch`
-//!   compare-and-popcount tails. The CPU level is probed once per process
-//!   with `is_x86_feature_detected!` and cached in an atomic; SSE2 is part
-//!   of the x86-64 baseline, AVX2 is taken when present. On other
-//!   architectures the `simd` feature compiles but falls back to the
-//!   portable kernel.
 
 /// Order-preserving `u64` encoding for snapshot key types.
 ///
@@ -48,28 +41,16 @@ impl SnapKey for u32 {
 }
 
 /// First index `i` in sorted `a` with `a[i] >= target` — the reference
-/// implementation the vector kernels are checked against.
+/// implementation the portable kernel is checked against.
 #[inline]
 pub fn lower_bound_scalar(a: &[u64], target: u64) -> usize {
     a.partition_point(|&x| x < target)
 }
 
-/// First index `i` in sorted `a` with `a[i] >= target`, via the fastest
-/// kernel available: the explicit SIMD paths when the `simd` feature is
-/// enabled and the CPU supports them, the portable branchless kernel
-/// otherwise.
+/// First index `i` in sorted `a` with `a[i] >= target`: the kernel the
+/// batched evaluator calls, [`lower_bound_portable`].
 #[inline]
 pub fn lower_bound_u64(a: &[u64], target: u64) -> usize {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if x86::avx2_available() {
-            // SAFETY: AVX2 presence verified at runtime (cached probe).
-            return unsafe { x86::lower_bound_avx2(a, target) };
-        }
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        return unsafe { x86::lower_bound_sse2(a, target) };
-    }
-    #[allow(unreachable_code)]
     lower_bound_portable(a, target)
 }
 
@@ -95,136 +76,6 @@ pub fn lower_bound_portable(a: &[u64], target: u64) -> usize {
     base + cnt
 }
 
-/// SSE2 kernel behind a safe wrapper (SSE2 is the x86-64 baseline); only
-/// compiled with `--features simd`. Exposed so the differential proptest can
-/// pin it against the scalar path even on AVX2 machines where dispatch would
-/// skip it.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub fn lower_bound_sse2(a: &[u64], target: u64) -> usize {
-    // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { x86::lower_bound_sse2(a, target) }
-}
-
-/// AVX2 kernel behind the runtime probe; `None` when the CPU lacks AVX2.
-/// Only compiled with `--features simd`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub fn lower_bound_avx2(a: &[u64], target: u64) -> Option<usize> {
-    if x86::avx2_available() {
-        // SAFETY: AVX2 presence verified at runtime.
-        Some(unsafe { x86::lower_bound_avx2(a, target) })
-    } else {
-        None
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod x86 {
-    use std::arch::x86_64::*;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    /// Cached CPU level: 0 = not probed yet, 1 = SSE2 only, 2 = AVX2.
-    static LEVEL: AtomicU8 = AtomicU8::new(0);
-
-    #[inline]
-    pub(super) fn avx2_available() -> bool {
-        match LEVEL.load(Ordering::Relaxed) {
-            0 => {
-                let level = if is_x86_feature_detected!("avx2") {
-                    2
-                } else {
-                    1
-                };
-                LEVEL.store(level, Ordering::Relaxed);
-                level == 2
-            }
-            l => l == 2,
-        }
-    }
-
-    /// Signed 64-bit `a > b` per lane, synthesized from SSE2 32-bit ops
-    /// (SSE2 has no `cmpgt_epi64`). Lanes with equal high dwords take the
-    /// sign of the 64-bit difference `b - a` (no overflow: the difference
-    /// fits in 33 bits when the highs are equal); unequal high dwords take
-    /// the 32-bit signed compare of the highs. Only bit 63 of each lane is
-    /// meaningful — the caller consumes the result through
-    /// `_mm_movemask_pd`, which reads exactly that bit.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn cmpgt_epi64(a: __m128i, b: __m128i) -> __m128i {
-        let eq_hi = _mm_cmpeq_epi32(a, b);
-        let diff = _mm_sub_epi64(b, a);
-        let gt32 = _mm_cmpgt_epi32(a, b);
-        _mm_or_si128(_mm_and_si128(eq_hi, diff), gt32)
-    }
-
-    /// SSE2 lower bound: branchless halving to ≤ 8 elements, then a
-    /// two-lane compare/popcount tail. Encoded keys are unsigned-ordered;
-    /// lanes are re-biased into the signed domain (`XOR 1 << 63`) for the
-    /// signed compare.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86-64).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn lower_bound_sse2(a: &[u64], target: u64) -> usize {
-        let mut base = 0usize;
-        let mut len = a.len();
-        while len > 8 {
-            let half = len / 2;
-            base += usize::from(*a.get_unchecked(base + half - 1) < target) * half;
-            len -= half;
-        }
-        let bias = _mm_set1_epi64x(i64::MIN);
-        let t = _mm_xor_si128(_mm_set1_epi64x(target as i64), bias);
-        let end = base + len;
-        let mut cnt = 0usize;
-        let mut i = base;
-        while i + 2 <= end {
-            let v = _mm_loadu_si128(a.as_ptr().add(i) as *const __m128i);
-            let lt = cmpgt_epi64(t, _mm_xor_si128(v, bias));
-            cnt += (_mm_movemask_pd(_mm_castsi128_pd(lt)) as u32).count_ones() as usize;
-            i += 2;
-        }
-        while i < end {
-            cnt += usize::from(*a.get_unchecked(i) < target);
-            i += 1;
-        }
-        base + cnt
-    }
-
-    /// AVX2 lower bound: branchless halving to ≤ 16 elements, then a
-    /// four-lane `_mm256_cmpgt_epi64` compare/popcount tail, with the same
-    /// sign-bias trick as the SSE2 kernel.
-    ///
-    /// # Safety
-    /// Requires AVX2 (callers must probe first).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lower_bound_avx2(a: &[u64], target: u64) -> usize {
-        let mut base = 0usize;
-        let mut len = a.len();
-        while len > 16 {
-            let half = len / 2;
-            base += usize::from(*a.get_unchecked(base + half - 1) < target) * half;
-            len -= half;
-        }
-        let bias = _mm256_set1_epi64x(i64::MIN);
-        let t = _mm256_xor_si256(_mm256_set1_epi64x(target as i64), bias);
-        let end = base + len;
-        let mut cnt = 0usize;
-        let mut i = base;
-        while i + 4 <= end {
-            let v = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let lt = _mm256_cmpgt_epi64(t, _mm256_xor_si256(v, bias));
-            cnt += (_mm256_movemask_pd(_mm256_castsi256_pd(lt)) as u32).count_ones() as usize;
-            i += 4;
-        }
-        while i < end {
-            cnt += usize::from(*a.get_unchecked(i) < target);
-            i += 1;
-        }
-        base + cnt
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,13 +88,6 @@ mod tests {
             "portable {a:?} {target}"
         );
         assert_eq!(lower_bound_u64(a, target), want, "dispatch {a:?} {target}");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            assert_eq!(lower_bound_sse2(a, target), want, "sse2 {a:?} {target}");
-            if let Some(got) = lower_bound_avx2(a, target) {
-                assert_eq!(got, want, "avx2 {a:?} {target}");
-            }
-        }
     }
 
     #[test]
@@ -267,8 +111,8 @@ mod tests {
 
     #[test]
     fn sign_bias_boundaries() {
-        // Values straddling the i64 sign flip and the u64 extremes — the
-        // lanes where a biased compare goes wrong first.
+        // Values straddling the i64 sign flip and the u64 extremes — where
+        // a signed compare would go wrong first.
         let a = [
             0u64,
             1,
@@ -287,7 +131,7 @@ mod tests {
 
     #[test]
     fn all_window_sizes() {
-        // Cover every tail-window length both kernels can see (0..=40),
+        // Cover every tail-window length the kernel can see (0..=40),
         // probing every boundary and both gaps around it.
         for n in 0..40u64 {
             let a: Vec<u64> = (0..n).map(|i| i * 3 + 1).collect();

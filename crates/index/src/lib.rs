@@ -13,11 +13,11 @@
 //!   run per direction, with a delta overlay and merge-rebuilds. This is the
 //!   one ordered index: the search for inequalities of paper §2.3 that
 //!   every phase-1 evaluator reads.
-//! * [`kernels`] — word-parallel lower-bound kernels (portable
-//!   auto-vectorized default, `std::arch` SSE2/AVX2 behind the `simd`
-//!   feature) backing the batched evaluator
+//! * [`kernels`] — the word-parallel lower-bound kernel (portable Rust the
+//!   compiler auto-vectorizes) backing the batched evaluator
 //!   [`PredicateIndex::eval_batch_into`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -13,8 +13,8 @@
 //! out. Consecutive publishes have their bodies walked and their names
 //! resolved under one vocabulary hold, and are matched by one
 //! [`pubsub_broker::SharedBroker::publish_batch_into`] call,
-//! which rides the broker's lock-free RCU path (one snapshot pin per
-//! batch), so matching never blocks accepts or other connections. Fan-out
+//! which rides the broker's RCU path (one snapshot handle per batch), so
+//! matching never blocks accepts or other connections. Fan-out
 //! takes the registry lock once per batch and makes one push per target
 //! session; the batch's acks and errors go to the connection's own queue
 //! in one push, in request order. Any other frame ends the batch, which is

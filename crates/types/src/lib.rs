@@ -20,6 +20,7 @@
 //! The crate also provides [`AttrSet`], a small bitset over attribute ids used
 //! for event/subscription schemas and multi-attribute hash-table schemas.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

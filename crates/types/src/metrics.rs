@@ -13,7 +13,7 @@
 //!   histogram.
 //!
 //! Metrics are declared as `static` items and register themselves in a global
-//! lock-free intrusive list on first touch, so a [`MetricsSnapshot`] can
+//! mutex-guarded list on first touch, so a [`MetricsSnapshot`] can
 //! enumerate every metric the process has actually used without any central
 //! registration ceremony:
 //!
@@ -180,21 +180,29 @@ pub fn bucket_of(v: u64) -> u8 {
 #[cfg(feature = "metrics")]
 mod imp {
     use super::{bucket_of, CounterEntry, HistogramEntry, MetricsSnapshot};
-    use std::ptr;
-    use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use std::time::Instant;
+
+    /// Every counter touched so far, each once.
+    static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
+    /// Every histogram touched so far, each once.
+    static HISTOGRAMS: Mutex<Vec<&'static Histogram>> = Mutex::new(Vec::new());
+
+    /// Locks a registry. A push cannot leave the list half-updated, so a
+    /// holder's panic is ignored rather than passed on: [`Span`] registers
+    /// from `drop`, which must not panic.
+    fn lock<T>(list: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
+        list.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// A monotonic counter. Declare as a `static`; it registers itself in
     /// the global metric list on first touch.
     pub struct Counter {
         name: &'static str,
         value: AtomicU64,
-        next: AtomicPtr<Counter>,
         claimed: AtomicBool,
     }
-
-    static COUNTER_HEAD: AtomicPtr<Counter> = AtomicPtr::new(ptr::null_mut());
-    static HISTOGRAM_HEAD: AtomicPtr<Histogram> = AtomicPtr::new(ptr::null_mut());
 
     impl Counter {
         /// Creates a counter with a dotted name (`layer.component.what`).
@@ -202,7 +210,6 @@ mod imp {
             Self {
                 name,
                 value: AtomicU64::new(0),
-                next: AtomicPtr::new(ptr::null_mut()),
                 claimed: AtomicBool::new(false),
             }
         }
@@ -234,7 +241,10 @@ mod imp {
 
         #[cold]
         fn register_slow(&'static self) {
-            push(&COUNTER_HEAD, self, &self.claimed, &self.next);
+            // Only the thread that claims the flag pushes.
+            if !self.claimed.swap(true, Ordering::Relaxed) {
+                lock(&COUNTERS).push(self);
+            }
         }
     }
 
@@ -245,7 +255,6 @@ mod imp {
         count: AtomicU64,
         sum: AtomicU64,
         buckets: [AtomicU64; 65],
-        next: AtomicPtr<Histogram>,
         claimed: AtomicBool,
     }
 
@@ -259,7 +268,6 @@ mod imp {
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
                 buckets: [ZERO; 65],
-                next: AtomicPtr::new(ptr::null_mut()),
                 claimed: AtomicBool::new(false),
             }
         }
@@ -292,7 +300,10 @@ mod imp {
 
         #[cold]
         fn register_slow(&'static self) {
-            push(&HISTOGRAM_HEAD, self, &self.claimed, &self.next);
+            // Only the thread that claims the flag pushes.
+            if !self.claimed.swap(true, Ordering::Relaxed) {
+                lock(&HISTOGRAMS).push(self);
+            }
         }
     }
 
@@ -308,61 +319,33 @@ mod imp {
         }
     }
 
-    /// CAS-pushes `node` onto the intrusive list at `head`, exactly once.
-    fn push<T>(head: &AtomicPtr<T>, node: &'static T, claimed: &AtomicBool, next: &AtomicPtr<T>) {
-        if claimed
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return; // another thread won the registration race
-        }
-        let node_ptr = node as *const T as *mut T;
-        let mut cur = head.load(Ordering::Acquire);
-        loop {
-            next.store(cur, Ordering::Relaxed);
-            match head.compare_exchange_weak(cur, node_ptr, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
     pub(super) fn capture() -> MetricsSnapshot {
-        let mut counters = Vec::new();
-        let mut p = COUNTER_HEAD.load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: only `&'static` nodes are ever pushed onto the list.
-            let c: &'static Counter = unsafe { &*p };
-            counters.push(CounterEntry {
+        let mut counters: Vec<CounterEntry> = lock(&COUNTERS)
+            .iter()
+            .map(|c| CounterEntry {
                 name: c.name.to_string(),
                 value: c.get(),
-            });
-            p = c.next.load(Ordering::Acquire);
-        }
+            })
+            .collect();
         counters.sort_by(|a, b| a.name.cmp(&b.name));
 
-        let mut histograms = Vec::new();
-        let mut p = HISTOGRAM_HEAD.load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: only `&'static` nodes are ever pushed onto the list.
-            let h: &'static Histogram = unsafe { &*p };
-            let buckets: Vec<(u8, u64)> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((i as u8, n))
-                })
-                .collect();
-            histograms.push(HistogramEntry {
+        let mut histograms: Vec<HistogramEntry> = lock(&HISTOGRAMS)
+            .iter()
+            .map(|h| HistogramEntry {
                 name: h.name.to_string(),
                 count: h.count.load(Ordering::Relaxed),
                 sum: h.sum.load(Ordering::Relaxed),
-                buckets,
-            });
-            p = h.next.load(Ordering::Acquire);
-        }
+                buckets: h
+                    .buckets
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, b)| {
+                        let n = b.load(Ordering::Relaxed);
+                        (n > 0).then_some((i as u8, n))
+                    })
+                    .collect(),
+            })
+            .collect();
         histograms.sort_by(|a, b| a.name.cmp(&b.name));
 
         MetricsSnapshot {
@@ -375,23 +358,15 @@ mod imp {
     /// registered). Intended for tests and benchmark harnesses; concurrent
     /// recorders may interleave with the reset.
     pub fn reset_all() {
-        let mut p = COUNTER_HEAD.load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: only `&'static` nodes are ever pushed onto the list.
-            let c: &'static Counter = unsafe { &*p };
+        for c in lock(&COUNTERS).iter() {
             c.value.store(0, Ordering::Relaxed);
-            p = c.next.load(Ordering::Acquire);
         }
-        let mut p = HISTOGRAM_HEAD.load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: only `&'static` nodes are ever pushed onto the list.
-            let h: &'static Histogram = unsafe { &*p };
+        for h in lock(&HISTOGRAMS).iter() {
             h.count.store(0, Ordering::Relaxed);
             h.sum.store(0, Ordering::Relaxed);
             for b in &h.buckets {
                 b.store(0, Ordering::Relaxed);
             }
-            p = h.next.load(Ordering::Acquire);
         }
     }
 
@@ -512,6 +487,41 @@ mod tests {
             for w in snap.counters.windows(2) {
                 assert!(w[0].name < w[1].name);
             }
+        }
+
+        /// Threads racing to touch a fresh metric first register it once,
+        /// and every thread's record counts.
+        #[test]
+        fn first_touch_races_register_each_metric_once() {
+            static RACE_COUNTER: Counter = Counter::new("test.types.race_counter");
+            static RACE_HIST: Histogram = Histogram::new("test.types.race_hist");
+            const THREADS: u64 = 8;
+            let start = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        start.wait();
+                        RACE_COUNTER.inc();
+                        RACE_HIST.record(3);
+                    });
+                }
+            });
+            let snap = MetricsSnapshot::capture();
+            let counters: Vec<_> = snap
+                .counters
+                .iter()
+                .filter(|c| c.name == "test.types.race_counter")
+                .collect();
+            assert_eq!(counters.len(), 1, "{:?}", snap.counters);
+            assert_eq!(counters[0].value, THREADS);
+            let hists: Vec<_> = snap
+                .histograms
+                .iter()
+                .filter(|h| h.name == "test.types.race_hist")
+                .collect();
+            assert_eq!(hists.len(), 1, "{:?}", snap.histograms);
+            assert_eq!(hists[0].count, THREADS);
+            assert_eq!(hists[0].buckets, vec![(bucket_of(3), THREADS)]);
         }
 
         #[test]

@@ -10,16 +10,12 @@
 #                  private intra-doc links + release build + each
 #                  examples/*.rs run once in release (most assert their
 #                  results) + tests with
-#                  default features, with --features metrics, and with
-#                  --features simd and simd,metrics (the explicit-SIMD
-#                  phase-1 kernels with runtime CPU detection — same tests,
-#                  vectorized path).
+#                  default features and with --features metrics.
 #   --bench-smoke  every Criterion bench target once in test mode (one
 #                  iteration, no measurement) so bench code can't bit-rot,
-#                  a second phase1_micro pass with the simd feature so the
-#                  batched/vectorized variant runs too, the cross-engine
-#                  differential proptest with a bounded case count, and one
-#                  snapshot_publish pass at 5k subscriptions.
+#                  the cross-engine differential proptest with a bounded
+#                  case count, and one snapshot_publish pass at 5k
+#                  subscriptions.
 #   --chaos        fault-injection lane: build and test the workspace with
 #                  --features faults,metrics, which compiles the
 #                  deterministic fault registry in. The runtime-gated chaos
@@ -30,7 +26,7 @@
 #                  snapshot failures -> degraded read-only mode) actually
 #                  fire, then run the kill-at-any-byte recovery suite and
 #                  its randomized proptest with a bounded case count.
-#   --contention   lock-free publish lane: the RCU stress/differential
+#   --contention   snapshot-handle stress lane: the RCU stress/differential
 #                  suite with the test-thread count unpinned (so racing
 #                  publishers really race the churn threads), a
 #                  publish_scaling bench smoke (1/2/4/8 publishers, one
@@ -158,15 +154,6 @@ cargo test ${OFFLINE} --workspace
 
 echo "==> cargo test (--features metrics)"
 cargo test ${OFFLINE} --workspace --features metrics
-
-echo "==> cargo build (--features simd)"
-cargo build ${OFFLINE} --workspace --features simd
-
-echo "==> cargo test (--features simd)"
-cargo test ${OFFLINE} --workspace --features simd
-
-echo "==> cargo test (--features simd,metrics)"
-cargo test ${OFFLINE} --workspace --features simd,metrics
 
 if [[ "$CHAOS" == 1 ]]; then
     echo "==> cargo build (--features faults,metrics)"
@@ -345,9 +332,6 @@ fi
 if [[ "$BENCH_SMOKE" == 1 ]]; then
     echo "==> bench smoke (one iteration per benchmark)"
     cargo bench ${OFFLINE} --workspace -- --test
-    echo "==> batched phase1_micro smoke (one iteration, simd kernels)"
-    cargo bench ${OFFLINE} -p pubsub-bench --features pubsub-index/simd \
-        --bench phase1_micro -- --test snapshot_batched64
     echo "==> differential proptest smoke (PROPTEST_CASES=8)"
     PROPTEST_CASES=8 cargo test ${OFFLINE} -p pubsub-core --test equivalence \
         all_engines_agree_on_identical_interleavings
